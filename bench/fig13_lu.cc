@@ -6,11 +6,11 @@
  * integrated design with and without the victim cache.
  */
 
-#include "splash_driver.hh"
+#include "splash_report.hh"
 
 int
 main(int argc, char **argv)
 {
-    return memwall::benchutil::runSplashFigure(
-        memwall::SplashFigure::Fig13Lu, argc, argv);
+    return memwall::benchutil::runSplashBench(
+        memwall::server::Experiment::Fig13Lu, argc, argv);
 }

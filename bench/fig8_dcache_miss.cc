@@ -5,28 +5,21 @@
  * victim cache, vs conventional caches with 32-byte lines.
  * Load and store miss fractions are reported separately, as in the
  * paper's stacked bars.
+ *
+ * The points and the --format json document are the experiment
+ * catalog's (see catalog_driver.hh, which also documents --sample,
+ * --resume and --ckpt-dir); this file holds the text report.
  */
 
-#include <cinttypes>
-#include <cstdio>
 #include <iostream>
-#include <vector>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
-#include "harness/parallel_sweep.hh"
-#include "harness/sweep_resume.hh"
-#include "resume_util.hh"
-#include "workloads/missrate.hh"
-#include "workloads/missrate_figures.hh"
 
 using namespace memwall;
 using namespace memwall::cachelabels;
 
 namespace {
-
-constexpr std::initializer_list<const char *> extra_flags = {
-    "--sample", "--ckpt-dir", "--resume"};
 
 /** "mean±half" table cell, in percent. */
 std::string
@@ -37,62 +30,18 @@ ciCell(const SampledCacheMissRate &r)
 }
 
 /** Sampled variant: mean ± CI half-width per configuration. */
-int
-runSampled(const benchutil::Options &opt, const MissRateParams &params,
-           const SamplingPlan &plan, const std::string &ckpt_dir,
-           const std::string &resume_path)
+void
+printSampled(const SamplingPlan &plan,
+             const benchutil::CatalogResults &results)
 {
+    const auto all =
+        server::gatherResults<SampledWorkloadMissRates>(results);
+    std::cout << "sampling plan: " << plan.describe() << "\n\n";
     TextTable table("Figure 8 (sampled): D-cache miss % ± " +
                     TextTable::num(plan.level * 100, 0) + "% CI");
     table.setHeader({"benchmark", "proposed", "conv 16K dm",
                      "conv 16K 2w", "conv 64K dm", "conv 256K 2w",
                      "proposed+VC", "units"});
-    if (!opt.json())
-        std::cout << "sampling plan: " << plan.describe() << "\n\n";
-
-    std::unique_ptr<ckpt::CheckpointStore> store =
-        benchutil::makeMissRateStore(ckpt_dir, plan);
-
-    ParallelSweep<SampledWorkloadMissRates> sweep(opt.jobs, opt.seed);
-    ckpt::SweepJournal journal;
-    if (!resume_path.empty()) {
-        benchutil::openJournal(
-            journal, resume_path,
-            benchutil::missRateRunHash("fig8-sampled", opt, params,
-                                       &plan));
-        attachSweepJournal(
-            sweep, journal,
-            [](ckpt::Encoder &e, const SampledWorkloadMissRates &r) {
-                encodeResult(e, r);
-            },
-            [](ckpt::Decoder &d, SampledWorkloadMissRates &r) {
-                return decodeResult(d, r);
-            });
-    }
-    std::vector<SampledWorkloadMissRates> all;
-    for (const auto &w : specSuite()) {
-        sweep.submit(
-            [&w, &params, &plan, &store](const PointContext &) {
-                return measureMissRatesSampled(w, params, plan,
-                                               store.get());
-            },
-            [&all](const PointContext &,
-                   SampledWorkloadMissRates rates) {
-                all.push_back(std::move(rates));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes
-        // (non-finite moments render as null, never bare nan/inf).
-        std::fputs(
-            missRateFigureSampledJson(MissRateFigure::DCache, all)
-                .c_str(),
-            stdout);
-        return 0;
-    }
-
     for (const auto &r : all)
         table.addRow({r.workload, ciCell(r.dcache(proposed)),
                       ciCell(r.dcache(conv16)),
@@ -102,32 +51,15 @@ runSampled(const benchutil::Options &opt, const MissRateParams &params,
                       ciCell(r.dcache(proposed_vc)),
                       std::to_string(r.units)});
     table.print(std::cout);
-    if (store)
-        benchutil::printStoreCounters(*store);
-    return 0;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+printFigure(const server::RunRequest &req,
+            const benchutil::CatalogResults &results)
 {
-    auto opt = benchutil::parse(argc, argv, extra_flags);
-    const std::string ckpt_dir =
-        benchutil::checkpointDirFlag(opt, argv[0], extra_flags);
-    const std::string resume_path =
-        benchutil::resumePathFlag(opt, argv[0], extra_flags);
-    if (!opt.json())
-        benchutil::banner("Figure 8 - data cache miss rates", opt);
-
-    const MissRateParams params =
-        resolveMissRateParams(opt.quick, opt.refs);
-
-    const std::string sample = opt.extraOr("--sample", "");
-    if (!sample.empty())
-        return runSampled(opt, params, parseSamplingPlan(sample),
-                          ckpt_dir, resume_path);
-
+    if (req.has_sample)
+        return printSampled(req.sample, results);
+    const auto all = server::gatherResults<WorkloadMissRates>(results);
     TextTable table(
         "Figure 8: D-cache miss probability (%), load+store");
     table.setHeader({"benchmark", "proposed", "conv 16K dm",
@@ -136,47 +68,7 @@ main(int argc, char **argv)
 
     BarChart chart("Figure 8 (bars): D-cache miss rates", "%");
 
-    // Measure every workload as an independent sweep point; commits
-    // land in suite order, so `all` matches the serial loop exactly.
-    std::vector<WorkloadMissRates> all;
-    ParallelSweep<WorkloadMissRates> sweep(opt.jobs, opt.seed);
-    ckpt::SweepJournal journal;
-    if (!resume_path.empty()) {
-        benchutil::openJournal(
-            journal, resume_path,
-            benchutil::missRateRunHash("fig8", opt, params,
-                                       nullptr));
-        attachSweepJournal(
-            sweep, journal,
-            [](ckpt::Encoder &e, const WorkloadMissRates &r) {
-                encodeResult(e, r);
-            },
-            [](ckpt::Decoder &d, WorkloadMissRates &r) {
-                return decodeResult(d, r);
-            });
-    }
-    for (const auto &w : specSuite()) {
-        sweep.submit(
-            [&w, &params](const PointContext &) {
-                return measureMissRates(w, params);
-            },
-            [&all](const PointContext &, WorkloadMissRates rates) {
-                all.push_back(std::move(rates));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(missRateFigureJson(MissRateFigure::DCache, all)
-                       .c_str(),
-                   stdout);
-        return 0;
-    }
-
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        const auto &w = specSuite()[i];
-        const auto &rates = all[i];
+    for (const auto &rates : all) {
         const auto &p = rates.dcache(proposed);
         const auto &pv = rates.dcache(proposed_vc);
         const double c16 = rates.dcache(conv16).missRate();
@@ -184,7 +76,7 @@ main(int argc, char **argv)
         const double c64 = rates.dcache(conv64).missRate();
         const double c256 = rates.dcache(conv256w2).missRate();
         table.addRow(
-            {w.name, TextTable::num(p.missRate() * 100, 3),
+            {rates.workload, TextTable::num(p.missRate() * 100, 3),
              TextTable::num(c16 * 100, 3),
              TextTable::num(c16w * 100, 3),
              TextTable::num(c64 * 100, 3),
@@ -193,10 +85,10 @@ main(int argc, char **argv)
              pv.missRate() > 0
                  ? TextTable::num(p.missRate() / pv.missRate(), 1) + "x"
                  : "inf"});
-        chart.add(w.name, "proposed    ", p.missRate() * 100);
-        chart.add(w.name, "proposed+VC ", pv.missRate() * 100);
-        chart.add(w.name, "conv-16K-dm ", c16 * 100);
-        chart.add(w.name, "conv-16K-2w ", c16w * 100);
+        chart.add(rates.workload, "proposed    ", p.missRate() * 100);
+        chart.add(rates.workload, "proposed+VC ", pv.missRate() * 100);
+        chart.add(rates.workload, "conv-16K-dm ", c16 * 100);
+        chart.add(rates.workload, "conv-16K-2w ", c16w * 100);
     }
 
     table.print(std::cout);
@@ -207,14 +99,22 @@ main(int argc, char **argv)
                  "stacked bars:\n";
     TextTable split("");
     split.setHeader({"benchmark", "load-miss %", "store-miss %"});
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        const auto &w = specSuite()[i];
-        const auto &pv = all[i].dcache(proposed_vc);
-        split.addRow({w.name,
+    for (const auto &rates : all) {
+        const auto &pv = rates.dcache(proposed_vc);
+        split.addRow({rates.workload,
                       TextTable::num(pv.stats.loadMissRate() * 100, 3),
                       TextTable::num(pv.stats.storeMissRate() * 100,
                                      3)});
     }
     split.print(std::cout);
-    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::runCatalogBench(
+        server::Experiment::Fig8, "Figure 8 - data cache miss rates",
+        argc, argv, printFigure);
 }

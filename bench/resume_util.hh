@@ -1,36 +1,21 @@
 /**
  * @file
- * Shared --resume / --ckpt-dir plumbing for the miss-rate figure
- * benches (Figures 7 and 8).
+ * Shared --resume / --ckpt-dir plumbing: the catalog bench driver
+ * (Figures 7 and 8) and the checkpoint torture bench.
  */
 
 #ifndef MEMWALL_BENCH_RESUME_UTIL_HH
 #define MEMWALL_BENCH_RESUME_UTIL_HH
 
 #include <cstdio>
-#include <iostream>
+#include <memory>
 #include <string>
 
-#include "bench_util.hh"
 #include "checkpoint/journal.hh"
 #include "checkpoint/store.hh"
 #include "workloads/missrate.hh"
 
 namespace memwall::benchutil {
-
-/** Run hash tying a resume journal to one (bench, flags) tuple. */
-inline std::uint64_t
-missRateRunHash(const char *bench, const Options &opt,
-                const MissRateParams &params,
-                const SamplingPlan *plan)
-{
-    std::uint64_t h = ckpt::fnv1a64(bench);
-    h = ckpt::fnvMix(h, opt.seed);
-    h = ckpt::fnvMix(h, params.measured_refs);
-    h = ckpt::fnvMix(h, params.warmup_refs);
-    h = ckpt::fnvMix(h, plan ? samplingPlanHash(*plan) : 0);
-    return h;
-}
 
 /**
  * Open the journal (fatal on I/O errors) and report recovery on

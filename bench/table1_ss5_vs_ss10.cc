@@ -12,40 +12,27 @@
  * 44 min / 32 min = 1.38 on Synopsys, and the inverse relation on
  * SPEC'92).
  *
- * Point execution and the --format=json renderer live in
- * workloads/spec_tables so mw-server serves the same bytes.
+ * The points and the --format json document are the experiment
+ * catalog's (see catalog_driver.hh); this file holds the text report.
  */
 
-#include <cstdio>
 #include <iostream>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
 #include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+printTable1(const server::RunRequest &,
+            const benchutil::CatalogResults &results)
 {
-    auto opt = benchutil::parse(argc, argv);
-    if (!opt.json())
-        benchutil::banner("Table 1 - SS-5 vs SS-10/61 on Synopsys",
-                          opt);
-
-    const std::uint64_t refs =
-        resolveTable1Refs(opt.quick, opt.refs);
-
-    // Canonical point order: synopsys, 130.li, 132.ijpeg on SS-5
+    // The catalog's point order: synopsys, 130.li, 132.ijpeg on SS-5
     // then SS-10/61 each (the composite runs at refs/2).
-    const std::vector<MachineRun> points = runTable1(refs);
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(table1Json(points).c_str(), stdout);
-        return 0;
-    }
-
+    const auto points = server::gatherResults<MachineRun>(results);
     const MachineRun &syn5 = points[0];
     const MachineRun &syn10 = points[1];
     // "Spec'92-like" score: instructions/second on the composite,
@@ -78,5 +65,15 @@ main(int argc, char **argv)
                  "rating (89 vs 64) - the SS-5 wins when the working "
                  "set blows through the\nL2 because its main memory "
                  "is closer.\n";
-    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::runCatalogBench(
+        server::Experiment::Table1,
+        "Table 1 - SS-5 vs SS-10/61 on Synopsys", argc, argv,
+        printTable1);
 }

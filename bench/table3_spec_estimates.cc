@@ -5,59 +5,26 @@
  * array and NO victim cache. The paper's own numbers are printed
  * alongside for comparison.
  *
- * Parameter resolution, per-point seeding and the --format=json
- * renderer live in workloads/spec_tables so mw-server serves the
- * same bytes.
+ * The points, their per-point seeds and the --format json document
+ * are the experiment catalog's (see catalog_driver.hh); this file
+ * holds the text report.
  */
 
-#include <cstdio>
 #include <iostream>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
-#include "harness/parallel_sweep.hh"
 #include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+printTable(const server::RunRequest &,
+           const benchutil::CatalogResults &results)
 {
-    auto opt = benchutil::parse(argc, argv);
-    if (!opt.json())
-        benchutil::banner(
-            "Table 3 - SPEC'95 estimates, no victim cache", opt);
-
-    const SpecEvalParams params =
-        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
-
-    // Estimate every row as an independent sweep point; commits land
-    // in suite order, so `rows` matches the serial library runner.
-    std::vector<SpecEstimate> rows;
-    ParallelSweep<SpecEstimate> sweep(opt.jobs, opt.seed);
-    for (const SpecWorkload *w : specTableWorkloads()) {
-        sweep.submit(
-            [w, &params](const PointContext &ctx) {
-                // Per-point stream derived from (--seed, index):
-                // reordering or parallelising points cannot perturb
-                // another point's draws.
-                SpecEvalParams p = params;
-                p.seed = ctx.seed;
-                return runSpecTablePoint(*w, /*victim_cache=*/false,
-                                         p);
-            },
-            [&rows](const PointContext &, SpecEstimate est) {
-                rows.push_back(std::move(est));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(specTableJson(false, rows).c_str(), stdout);
-        return 0;
-    }
-
+    const auto rows = server::gatherResults<SpecEstimate>(results);
     TextTable table("Table 3: SPEC'95 estimates (no victim cache)");
     table.setHeader({"name", "CPI [cpu+mem]", "Spec-ratio",
                      "paper CPI", "paper ratio"});
@@ -79,5 +46,15 @@ main(int argc, char **argv)
                       TextTable::num(w.paper_ratio_novc, 1)});
     }
     table.print(std::cout);
-    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::runCatalogBench(
+        server::Experiment::Table3,
+        "Table 3 - SPEC'95 estimates, no victim cache", argc, argv,
+        printTable);
 }

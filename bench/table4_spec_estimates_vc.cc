@@ -5,54 +5,26 @@
  * the published Alpha 21164 (DEC 8200 5/300) ratios the paper quotes
  * for comparison.
  *
- * Parameter resolution, per-point seeding and the --format=json
- * renderer live in workloads/spec_tables so mw-server serves the
- * same bytes.
+ * The points, their per-point seeds and the --format json document
+ * are the experiment catalog's (see catalog_driver.hh); this file
+ * holds the text report.
  */
 
-#include <cstdio>
 #include <iostream>
 
-#include "bench_util.hh"
+#include "catalog_driver.hh"
 #include "common/table.hh"
-#include "harness/parallel_sweep.hh"
 #include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+printTable(const server::RunRequest &,
+           const benchutil::CatalogResults &results)
 {
-    auto opt = benchutil::parse(argc, argv);
-    if (!opt.json())
-        benchutil::banner(
-            "Table 4 - SPEC'95 estimates, with victim cache", opt);
-
-    const SpecEvalParams params =
-        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
-
-    std::vector<SpecEstimate> rows;
-    ParallelSweep<SpecEstimate> sweep(opt.jobs, opt.seed);
-    for (const SpecWorkload *w : specTableWorkloads()) {
-        sweep.submit(
-            [w, &params](const PointContext &ctx) {
-                SpecEvalParams p = params;
-                p.seed = ctx.seed;
-                return runSpecTablePoint(*w, /*victim_cache=*/true,
-                                         p);
-            },
-            [&rows](const PointContext &, SpecEstimate est) {
-                rows.push_back(std::move(est));
-            });
-    }
-    sweep.finish();
-
-    if (opt.json()) {
-        // Shared with mw-server: one renderer, one set of bytes.
-        std::fputs(specTableJson(true, rows).c_str(), stdout);
-        return 0;
-    }
-
+    const auto rows = server::gatherResults<SpecEstimate>(results);
     TextTable table("Table 4: SPEC'95 estimates (with victim cache)");
     table.setHeader({"name", "Total CPI", "Spec-ratio", "paper CPI",
                      "paper ratio", "Alpha 21164"});
@@ -72,5 +44,15 @@ main(int argc, char **argv)
                       TextTable::num(w.alpha_ratio, 1)});
     }
     table.print(std::cout);
-    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return benchutil::runCatalogBench(
+        server::Experiment::Table4,
+        "Table 4 - SPEC'95 estimates, with victim cache", argc, argv,
+        printTable);
 }

@@ -24,11 +24,10 @@
  *                byte-identical, with zero recomputation;
  *
  *   degradation  injected faults (--allow-test-faults) exercise the
- *                failure ladder: transient faults are retried to
- *                success, persistent faults surface worker_failed, a
- *                short deadline surfaces deadline_exceeded, and a
- *                full inflight table sheds with overloaded plus a
- *                retry_after_ms hint;
+ *                failure ladder: a throwing unit surfaces
+ *                worker_failed, a short deadline surfaces
+ *                deadline_exceeded, and a full inflight table sheds
+ *                with overloaded plus a retry_after_ms hint;
  *
  *   catalog      every other catalog entry — table1, table3, a
  *                SPLASH figure and a sampled fig7 — is served
@@ -54,7 +53,7 @@
  *
  * Exit status is non-zero when any gate fails, so CI can run this
  * binary directly (the CI job additionally runs it under TSan and
- * diffs mw-client --raw-result against the one-shot binary).
+ * diffs mw-client --raw-result against the committed goldens).
  */
 
 #include <sys/stat.h>
@@ -310,17 +309,14 @@ runClient(const std::vector<std::string> &args)
 }
 
 // ---- in-process golden renders for the catalog leg -----------------
-// Each reproduces exactly what the one-shot binary prints with
-// --format json, through the same library entry points.
+// Each reproduces what the one-shot binary prints with --format
+// json through the serial reference runners, not the catalog plan
+// that the server and the binary share.
 
 std::string
 goldenTable1()
 {
-    const std::uint64_t refs = resolveTable1Refs(true, 0);
-    std::vector<MachineRun> rows;
-    for (std::size_t i = 0; i < table1_points; ++i)
-        rows.push_back(runTable1Point(i, refs));
-    return table1Json(rows);
+    return table1Json(runTable1(resolveTable1Refs(true, 0)));
 }
 
 std::string
@@ -342,12 +338,8 @@ goldenFig13Nodes1()
 {
     const SplashFigure fig = SplashFigure::Fig13Lu;
     const double scale = resolveSplashScale(fig, true);
-    std::vector<SplashResult> rows;
-    for (const std::string &arch : splashArchs())
-        for (unsigned ncpus : splashCpuCounts(1))
-            rows.push_back(runSplashFigurePoint(fig, arch, ncpus,
-                                                scale, nullptr));
-    return splashFigureJson(fig, scale, 1, rows);
+    return splashFigureJson(fig, scale, 1,
+                            runSplashFigure(fig, scale, 1, nullptr));
 }
 
 std::string
@@ -620,8 +612,7 @@ main(int argc, char **argv)
     // same cache directory (journal replay); small inflight table so
     // the degradation leg can fill it.
     pid = spawnServer(socket_path, cache_dir, jobs,
-                      {"--max-inflight", "1", "--max-retries", "2",
-                       "--backoff-base-ms", "1"});
+                      {"--max-inflight", "1"});
     gate("restart reclaims stale socket",
          waitForServer(socket_path, pid),
          "bind over the dead server's socket file");
@@ -663,15 +654,6 @@ main(int argc, char **argv)
          "computed=0 on the restarted server");
 
     // ---- degradation leg ------------------------------------------
-    // Transient faults: two injected failures, three attempts.
-    const std::string retried = rpc(
-        socket_path, runRequest("fig7", refs, 7'001,
-                                R"(,"fault":{"fail_points":2})"));
-    gate("transient faults retried to success",
-         resultBytes(retried) == golden7,
-         "fail_points=2 vs max-retries=2");
-
-    // Persistent faults: more failures than attempts.
     gate("persistent faults surface worker_failed",
          errorCodeOf(rpc(socket_path,
                          runRequest(

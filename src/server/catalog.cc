@@ -26,22 +26,26 @@ keyf(const char *fmt, Args... args)
     return buf;
 }
 
-/** Downcast the erased point results back to their concrete type. */
+/** Journal plan results of type @p T with its encodeResult/
+ *  decodeResult pair. */
 template <typename T>
-std::vector<T>
-gather(const std::vector<std::shared_ptr<void>> &results)
+void
+setJournalCodec(CatalogPlan &plan)
 {
-    std::vector<T> out;
-    out.reserve(results.size());
-    for (const auto &r : results) {
-        MW_ASSERT(r != nullptr, "render before all points finished");
-        out.push_back(*std::static_pointer_cast<T>(r));
-    }
-    return out;
+    plan.encode = [](ckpt::Encoder &e, const std::shared_ptr<void> &r) {
+        encodeResult(e, *std::static_pointer_cast<T>(r));
+    };
+    plan.decode = [](ckpt::Decoder &d, std::shared_ptr<void> &r) {
+        auto decoded = std::make_shared<T>();
+        if (!decodeResult(d, *decoded))
+            return false;
+        r = std::move(decoded);
+        return true;
+    };
 }
 
 CatalogPlan
-missRatePlan(const RunRequest &run)
+missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
 {
     const MissRateParams params =
         resolveMissRateParams(run.quick, run.refs);
@@ -72,9 +76,10 @@ missRatePlan(const RunRequest &run)
         p.label = "workload '" + w.name + "'";
         const SpecWorkload *wp = &w;
         if (sampled)
-            p.compute = [wp, params, plan] {
+            p.compute = [wp, params, plan, store] {
                 return std::make_shared<SampledWorkloadMissRates>(
-                    measureMissRatesSampled(*wp, params, plan));
+                    measureMissRatesSampled(*wp, params, plan,
+                                            store));
             };
         else
             p.compute = [wp, params] {
@@ -83,18 +88,21 @@ missRatePlan(const RunRequest &run)
             };
         out.points.push_back(std::move(p));
     }
-    if (sampled)
+    if (sampled) {
         out.render =
             [fig](const std::vector<std::shared_ptr<void>> &r) {
                 return missRateFigureSampledJson(
-                    fig, gather<SampledWorkloadMissRates>(r));
+                    fig, gatherResults<SampledWorkloadMissRates>(r));
             };
-    else
+        setJournalCodec<SampledWorkloadMissRates>(out);
+    } else {
         out.render =
             [fig](const std::vector<std::shared_ptr<void>> &r) {
-                return missRateFigureJson(fig,
-                                          gather<WorkloadMissRates>(r));
+                return missRateFigureJson(
+                    fig, gatherResults<WorkloadMissRates>(r));
             };
+        setJournalCodec<WorkloadMissRates>(out);
+    }
     return out;
 }
 
@@ -119,7 +127,7 @@ table1Plan(const RunRequest &run)
         out.points.push_back(std::move(p));
     }
     out.render = [](const std::vector<std::shared_ptr<void>> &r) {
-        return table1Json(gather<MachineRun>(r));
+        return table1Json(gatherResults<MachineRun>(r));
     };
     return out;
 }
@@ -135,9 +143,9 @@ specTablePlan(const RunRequest &run)
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         const SpecWorkload *w = workloads[i];
         SpecEvalParams p = base;
-        // The same splitmix64 per-point stream ParallelSweep hands
-        // the bench binary's point i — reproducing its Monte-Carlo
-        // draws exactly.
+        // The plan, not the scheduler, seeds each point from
+        // (request seed, index), so mw-server's pool and the bench's
+        // sweep make the same Monte-Carlo draws.
         p.seed = specTablePointSeed(run.seed, i);
         CatalogPoint point;
         point.unit_key = keyf(
@@ -154,21 +162,9 @@ specTablePlan(const RunRequest &run)
         out.points.push_back(std::move(point));
     }
     out.render = [vc](const std::vector<std::shared_ptr<void>> &r) {
-        return specTableJson(vc, gather<SpecEstimate>(r));
+        return specTableJson(vc, gatherResults<SpecEstimate>(r));
     };
     return out;
-}
-
-SplashFigure
-splashFigureOf(Experiment exp)
-{
-    switch (exp) {
-    case Experiment::Fig13Lu: return SplashFigure::Fig13Lu;
-    case Experiment::Fig14Mp3d: return SplashFigure::Fig14Mp3d;
-    case Experiment::Fig15Ocean: return SplashFigure::Fig15Ocean;
-    case Experiment::Fig16Water: return SplashFigure::Fig16Water;
-    default: return SplashFigure::Fig17Pthor;
-    }
 }
 
 CatalogPlan
@@ -210,18 +206,14 @@ splashPlan(const RunRequest &run)
             out.points.push_back(std::move(p));
         }
     }
-    if (sampled)
-        out.render = [fig, scale, nodes](
-                         const std::vector<std::shared_ptr<void>> &r) {
-            return splashFigureSampledJson(fig, scale, nodes,
-                                           gather<SplashResult>(r));
-        };
-    else
-        out.render = [fig, scale, nodes](
-                         const std::vector<std::shared_ptr<void>> &r) {
-            return splashFigureJson(fig, scale, nodes,
-                                    gather<SplashResult>(r));
-        };
+    out.render = [fig, scale, nodes, sampled](
+                     const std::vector<std::shared_ptr<void>> &r) {
+        const std::vector<SplashResult> points =
+            gatherResults<SplashResult>(r);
+        return sampled
+            ? splashFigureSampledJson(fig, scale, nodes, points)
+            : splashFigureJson(fig, scale, nodes, points);
+    };
     return out;
 }
 
@@ -229,13 +221,14 @@ splashPlan(const RunRequest &run)
 
 CatalogPlan
 buildCatalogPlan(const RunRequest &run,
-                 const std::string &fault_scope)
+                 const std::string &fault_scope,
+                 ckpt::CheckpointStore *store)
 {
     CatalogPlan plan;
     switch (run.experiment) {
     case Experiment::Fig7:
     case Experiment::Fig8:
-        plan = missRatePlan(run);
+        plan = missRatePlan(run, store);
         break;
     case Experiment::Table1:
         plan = table1Plan(run);

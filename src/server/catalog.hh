@@ -1,15 +1,15 @@
 /**
  * @file
- * The experiment catalog: the bridge between a validated RunRequest
- * and the workloads library.
+ * The experiment catalog: the single definition of each catalogued
+ * experiment's compute points.
  *
- * buildCatalogPlan() decomposes a request into independent compute
- * points — the same points, in the same order, with the same
- * per-point seeding as the one-shot bench binary — plus a renderer
- * that turns the completed point results into the binary's
- * --format=json document. The server schedules the points; the
- * catalog guarantees that what gets served is byte-identical to the
- * binary's output.
+ * buildCatalogPlan() decomposes a validated RunRequest into
+ * independent compute points — their order, their per-point seeds
+ * and their compute calls — plus a renderer that turns the
+ * completed point results into the --format=json document. Both
+ * mw-server and the one-shot bench binaries (bench/catalog_driver.hh)
+ * execute these plans, so what gets served is byte-identical to the
+ * binary's output by construction.
  *
  * Every point also carries a `unit_key` naming the computation
  * itself (workload, resolved window, per-point seed — but NOT the
@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/codec.hh"
+#include "common/logging.hh"
 #include "server/protocol.hh"
 
 namespace memwall {
@@ -60,6 +62,13 @@ struct CatalogPlan
     std::function<std::string(
         const std::vector<std::shared_ptr<void>> &)>
         render;
+    /** Sweep-journal codec of one point result, set for the
+     *  experiments whose benches take --resume (fig7/fig8); decode
+     *  returns false on a malformed payload. */
+    std::function<void(ckpt::Encoder &, const std::shared_ptr<void> &)>
+        encode;
+    std::function<bool(ckpt::Decoder &, std::shared_ptr<void> &)>
+        decode;
 };
 
 /**
@@ -67,10 +76,28 @@ struct CatalogPlan
  * must have passed parseRequest() validation; @p fault_scope is
  * appended to every unit key when non-empty (the server passes the
  * fault-suffixed canonical key so fault-injected units are never
- * shared).
+ * shared). A non-null @p store accelerates sampled fig7/fig8 units
+ * with per-unit warm-state checkpoints (see
+ * measureMissRatesSampled()); results, and so unit keys, are the
+ * same with or without it.
  */
 CatalogPlan buildCatalogPlan(const RunRequest &run,
-                             const std::string &fault_scope);
+                             const std::string &fault_scope,
+                             ckpt::CheckpointStore *store = nullptr);
+
+/** Downcast erased point results (all non-null) to their type. */
+template <typename T>
+std::vector<T>
+gatherResults(const std::vector<std::shared_ptr<void>> &results)
+{
+    std::vector<T> out;
+    out.reserve(results.size());
+    for (const auto &r : results) {
+        MW_ASSERT(r != nullptr, "render before all points finished");
+        out.push_back(*std::static_pointer_cast<T>(r));
+    }
+    return out;
+}
 
 } // namespace server
 } // namespace memwall

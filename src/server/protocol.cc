@@ -5,7 +5,6 @@
 #include "checkpoint/codec.hh"
 #include "server/json.hh"
 #include "workloads/spec_tables.hh"
-#include "workloads/splash_figures.hh"
 
 #ifndef MEMWALL_GIT_DESCRIBE
 #define MEMWALL_GIT_DESCRIBE ""
@@ -110,9 +109,6 @@ experimentAcceptsSample(Experiment exp)
     return experimentIsMissRate(exp) || experimentIsSplash(exp);
 }
 
-namespace {
-
-/** The SPLASH figure behind a catalogued splash experiment. */
 SplashFigure
 splashFigureOf(Experiment exp)
 {
@@ -124,6 +120,8 @@ splashFigureOf(Experiment exp)
     default: return SplashFigure::Fig17Pthor;
     }
 }
+
+namespace {
 
 /** Schema-check one field as an exact uint64, with a named error. */
 bool
@@ -167,11 +165,8 @@ parseFault(const JsonValue &v, RunRequest &run, ErrorCode &code,
     return true;
 }
 
-/**
- * Fields apply per experiment: a field the catalog entry would
- * silently ignore is rejected instead, so a client never believes it
- * configured something it did not.
- */
+} // namespace
+
 bool
 validateRun(const RunRequest &run, ErrorCode &code,
             std::string &detail)
@@ -204,8 +199,6 @@ validateRun(const RunRequest &run, ErrorCode &code,
     }
     return true;
 }
-
-} // namespace
 
 bool
 parseRequest(const std::string &payload, Request &out,

@@ -48,6 +48,7 @@
 
 #include "sampling/plan.hh"
 #include "workloads/missrate_figures.hh"
+#include "workloads/splash_figures.hh"
 
 namespace memwall {
 namespace server {
@@ -63,7 +64,7 @@ enum class ErrorCode {
     FaultInjectionDisabled, ///< "fault" without --allow-test-faults
     Overloaded,      ///< admission control shed the request
     DeadlineExceeded, ///< computation missed the request deadline
-    WorkerFailed,    ///< computation kept failing after retries
+    WorkerFailed,    ///< a compute unit of the run threw
     Quarantined,     ///< key wedged earlier; watchdog fenced it off
     ShuttingDown,    ///< server is draining
     Internal,        ///< invariant failure inside the server
@@ -107,6 +108,9 @@ bool experimentIsMissRate(Experiment exp);
 /** True when "sample" applies to @p exp (miss-rate + SPLASH). */
 bool experimentAcceptsSample(Experiment exp);
 
+/** The SPLASH figure behind a catalogued SPLASH experiment. */
+SplashFigure splashFigureOf(Experiment exp);
+
 /**
  * Upper bound on "deadline_ms": one day. Larger values are rejected
  * with bad_param at parse time — std::chrono::milliseconds has a
@@ -149,6 +153,12 @@ struct Request
  */
 bool parseRequest(const std::string &payload, Request &out,
                   ErrorCode &code, std::string &detail);
+
+/** parseRequest()'s per-experiment rules, which the benches also
+ *  apply to their flags: a field the experiment would silently
+ *  ignore (refs on SPLASH, sample on a table) is a bad_param. */
+bool validateRun(const RunRequest &run, ErrorCode &code,
+                 std::string &detail);
 
 /**
  * Canonical description of a run: the experiment, its resolved

@@ -36,18 +36,6 @@ setCloexec(int fd)
 
 } // namespace
 
-std::uint64_t
-saturatingBackoffMs(std::uint64_t base_ms, unsigned exponent)
-{
-    constexpr std::uint64_t cap_ms = 60'000;
-    if (base_ms == 0)
-        return 0;
-    if (base_ms >= cap_ms || exponent >= 16)
-        return cap_ms;
-    // base_ms < 2^16 and exponent < 16: the shift fits easily.
-    return std::min(base_ms << exponent, cap_ms);
-}
-
 /** Scatter/gather context for one deduplicated experiment run.
  *  remaining/results/failed are guarded by MwServer::mu_; the fault
  *  countdown is atomic because units decrement it concurrently
@@ -279,11 +267,9 @@ MwServer::acceptLoop()
             // One named rejection, then close: the client learns to
             // back off instead of hanging on an ignored socket.
             writeFrame(cfd,
-                       errorResponse(
-                           "", ErrorCode::Overloaded,
-                           "connection limit reached",
-                           static_cast<long>(saturatingBackoffMs(
-                               opt_.backoff_base_ms, 3))),
+                       errorResponse("", ErrorCode::Overloaded,
+                                     "connection limit reached",
+                                     overloaded_retry_after_ms),
                        nullptr);
             ::close(cfd);
         }
@@ -455,11 +441,9 @@ MwServer::handleRun(const Request &req)
         }
         if (inflight_.size() >= opt_.max_inflight) {
             ++counters_.shed;
-            return errorResponse(
-                req.id, ErrorCode::Overloaded,
-                "experiment queue is full",
-                static_cast<long>(saturatingBackoffMs(
-                    opt_.backoff_base_ms, 3)));
+            return errorResponse(req.id, ErrorCode::Overloaded,
+                                 "experiment queue is full",
+                                 overloaded_retry_after_ms);
         }
         entry = std::make_shared<Inflight>();
         entry->last_progress = arrival;
@@ -504,10 +488,7 @@ MwServer::handleRun(const Request &req)
         return okResponse(req.id, false, entry->result);
     if (entry->state == Inflight::State::Failed)
         return errorResponse(req.id, ErrorCode::WorkerFailed,
-                             entry->error_detail,
-                             static_cast<long>(saturatingBackoffMs(
-                                 opt_.backoff_base_ms,
-                                 opt_.max_retries)));
+                             entry->error_detail);
     if (!in_time) {
         ++counters_.deadline_misses;
         return errorResponse(
@@ -588,38 +569,20 @@ void
 MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
 {
     std::shared_ptr<void> result;
-    bool success = false;
-    std::string last_error;
+    std::string error;
     const std::shared_ptr<ComputeJob> &fault = unit->fault_job;
-    for (unsigned attempt = 0; attempt <= opt_.max_retries;
-         ++attempt) {
-        if (attempt > 0) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++counters_.retries;
-            }
-            // This backoff (and the fault hang below) sleeps on the
-            // pool worker itself: with a small pool, enough hung or
-            // retrying units can occupy every worker and unrelated
-            // requests queue behind the sleeps. Accepted for an
-            // experiment service whose units normally never sleep;
-            // resubmit-with-delay is the upgrade path if it hurts.
-            std::this_thread::sleep_for(ms(saturatingBackoffMs(
-                opt_.backoff_base_ms, attempt - 1)));
-        }
-        if (fault && fault->run.fault_hang_ms > 0)
-            std::this_thread::sleep_for(
-                ms(fault->run.fault_hang_ms));
-        try {
-            if (fault && fault->fault_countdown.fetch_sub(1) > 0)
-                throw std::runtime_error(
-                    "injected transient worker fault");
-            result = unit->compute();
-            success = true;
-            break;
-        } catch (const std::exception &e) {
-            last_error = e.what();
-        }
+    // The fault hang sleeps on the pool worker itself: with a small
+    // pool, enough hung units can occupy every worker and unrelated
+    // requests queue behind the sleeps. Accepted for a test-only
+    // hook.
+    if (fault && fault->run.fault_hang_ms > 0)
+        std::this_thread::sleep_for(ms(fault->run.fault_hang_ms));
+    try {
+        if (fault && fault->fault_countdown.fetch_sub(1) > 0)
+            throw std::runtime_error("injected worker fault");
+        result = unit->compute();
+    } catch (const std::exception &e) {
+        error = e.what();
     }
 
     // Deliver to every subscriber; finalize each job whose last
@@ -631,20 +594,18 @@ MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
         const auto now = Clock::now();
         last_unit_done_ = now;
         for (const auto &[job, index] : unit->subscribers) {
-            // Even a failed attempt is forward motion: the watchdog
+            // Even a failed unit is forward motion: the watchdog
             // fences off computations where NO unit resolves for a
             // whole grace period, not merely slow ones.
             job->entry->last_progress = now;
-            if (success) {
+            if (result) {
                 job->results[index] = result;
             } else {
                 ++counters_.worker_failures;
                 if (!job->failed) {
                     job->failed = true;
                     job->fail_detail =
-                        unit->label + " failed " +
-                        std::to_string(opt_.max_retries + 1) +
-                        " attempts: " + last_error;
+                        unit->label + " failed: " + error;
                 }
             }
             MW_ASSERT(job->remaining > 0,
@@ -786,7 +747,6 @@ MwServer::statsJson()
            std::to_string(counters.bad_requests);
     out += ",\"deadline_misses\":" +
            std::to_string(counters.deadline_misses);
-    out += ",\"retries\":" + std::to_string(counters.retries);
     out += ",\"worker_failures\":" +
            std::to_string(counters.worker_failures);
     out += ",\"quarantines\":" +

@@ -35,14 +35,15 @@
  *    still worth caching) — it finishes in the background and the
  *    next request is a cache hit.
  *
- *  - Retry: a workload point that throws is retried with exponential
- *    backoff (saturatingBackoffMs(backoff_base_ms, attempt), capped
- *    at one minute) up to max_retries times; only a point that keeps
- *    failing fails the request (worker_failed).
+ *  - Worker failure: a compute unit that throws fails every request
+ *    subscribed to it with worker_failed, once. Units are
+ *    deterministic simulations, so one that throws would throw again
+ *    on a retry; the error carries no retry_after_ms hint.
  *
  *  - Admission control: over max_connections the connection is
- *    answered with one overloaded error (with retry_after_ms) and
- *    closed; over max_inflight a run request is shed the same way.
+ *    answered with one overloaded error (with a retry_after_ms hint
+ *    of overloaded_retry_after_ms) and closed; over max_inflight a
+ *    run request is shed the same way.
  *
  *  - Watchdog: a computation still running wedge_grace_ms past its
  *    start is quarantined — new requests for that key fail fast with
@@ -80,14 +81,8 @@
 namespace memwall {
 namespace server {
 
-/**
- * base_ms << exponent with saturation at one minute. Every retry
- * sleep and retry_after_ms hint goes through this, so a configurable
- * --max-retries can never push the shift to the width of the type
- * (undefined behaviour at >= 64) or produce an hours-long sleep.
- */
-std::uint64_t saturatingBackoffMs(std::uint64_t base_ms,
-                                  unsigned exponent);
+/** The retry_after_ms hint an overloaded rejection carries. */
+constexpr long overloaded_retry_after_ms = 80;
 
 /** Server configuration; defaults suit interactive use. */
 struct ServerOptions
@@ -99,8 +94,6 @@ struct ServerOptions
     std::uint64_t cache_cap_bytes = 0; ///< 0 = unbounded
     std::uint64_t max_connections = 32;
     std::uint64_t max_inflight = 8;
-    unsigned max_retries = 2;          ///< extra attempts per point
-    std::uint64_t backoff_base_ms = 10;
     std::uint64_t wedge_grace_ms = 30'000; ///< no-unit-progress stall
     std::uint64_t watchdog_interval_ms = 100;
     /** Batcher linger before draining the run queue: 0 drains
@@ -121,7 +114,6 @@ struct ServerCounters
     std::uint64_t shed = 0;          ///< overload rejections
     std::uint64_t bad_requests = 0;  ///< schema/frame/json rejections
     std::uint64_t deadline_misses = 0;
-    std::uint64_t retries = 0;       ///< point attempts after the first
     std::uint64_t worker_failures = 0;
     std::uint64_t quarantines = 0;
     std::uint64_t unquarantines = 0;
@@ -208,8 +200,8 @@ class MwServer
     /** Drain the run queue into batches; coalesce unit keys across
      *  the batch and submit one pool task per unique unit. */
     void batcherLoop();
-    /** One compute unit with retry/backoff; runs on the pool.
-     *  Distributes the result to every subscribing job. */
+    /** One compute unit; runs on the pool. Distributes the result
+     *  (or the failure) to every subscribing job. */
     void runUnit(const std::shared_ptr<ComputeUnit> &unit);
     /** Last-point completion: journal the result (under cache_mu_),
      *  then publish, unquarantine and notify (under mu_). Caller

@@ -197,22 +197,6 @@ runSpecTablePoint(const SpecWorkload &workload, bool victim_cache,
     return estimateIntegrated(workload, victim_cache, params);
 }
 
-std::vector<SpecEstimate>
-runSpecTable(bool victim_cache, const SpecEvalParams &params)
-{
-    std::vector<SpecEstimate> rows;
-    const auto workloads = specTableWorkloads();
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        SpecEvalParams p = params;
-        // Per-point stream derived from (seed, index), matching the
-        // ParallelSweep derivation the one-shot binaries use.
-        p.seed = specTablePointSeed(params.seed, i);
-        rows.push_back(
-            runSpecTablePoint(*workloads[i], victim_cache, p));
-    }
-    return rows;
-}
-
 const char *
 specTableName(bool victim_cache)
 {

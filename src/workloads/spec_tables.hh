@@ -97,10 +97,6 @@ SpecEstimate runSpecTablePoint(const SpecWorkload &workload,
                                bool victim_cache,
                                const SpecEvalParams &params);
 
-/** Run every row serially, in specTableWorkloads() order. */
-std::vector<SpecEstimate> runSpecTable(bool victim_cache,
-                                       const SpecEvalParams &params);
-
 /** "table3_spec_estimates" / "table4_spec_estimates_vc". */
 const char *specTableName(bool victim_cache);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the bench option-parsing helpers: --jobs/--refs/--seed/
- * --quick, registered extra flags, and the comma-list parsers.
+ * --quick, registered extra flags, the comma-list parsers, and the
+ * catalog driver's per-experiment flag rules.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "catalog_driver.hh"
 
 using namespace memwall;
 
@@ -143,6 +145,19 @@ TEST(BenchUtilDeathTest, TrailingJunkInValueRejected)
     EXPECT_EXIT(benchutil::parse(a.argc(), a.argv()),
                 testing::ExitedWithCode(2),
                 "invalid value '12x' for --refs");
+}
+
+TEST(BenchUtilDeathTest, SplashFigureRejectsRefs)
+{
+    // fig13..fig17 size their problem by --quick alone: a --refs
+    // they would silently ignore is a usage error naming it, by the
+    // rule mw-server applies to the "refs" field.
+    Argv a{"fig13_lu", "--quick", "--refs", "5"};
+    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig13Lu,
+                                           "", a.argc(), a.argv(),
+                                           nullptr),
+                testing::ExitedWithCode(2),
+                "\"refs\" does not apply to experiment \"fig13\"");
 }
 
 TEST(BenchUtil, SplitListBasic)

@@ -3,7 +3,7 @@
  * Tests of the experiment service: the strict JSON parser, the wire
  * framing (including oversized-frame re-sync and stale-socket
  * reclaim), request validation/canonicalization, the crash-safe
- * result cache, and the live server's dedup / deadline / retry /
+ * result cache, and the live server's dedup / deadline / worker-failure /
  * quarantine / overload semantics against an in-process MwServer.
  */
 
@@ -350,20 +350,6 @@ TEST(ServerProtocol, DeadlineIsCappedAtParseTime)
         EXPECT_EQ(code, ErrorCode::BadParam);
         EXPECT_NE(detail.find("deadline_ms"), std::string::npos);
     }
-}
-
-TEST(ServerBackoff, SaturatesInsteadOfOverflowing)
-{
-    EXPECT_EQ(saturatingBackoffMs(10, 0), 10u);
-    EXPECT_EQ(saturatingBackoffMs(10, 2), 40u);
-    EXPECT_EQ(saturatingBackoffMs(0, 70), 0u);
-    // A shift of >= 64 would be undefined; the helper saturates.
-    EXPECT_EQ(saturatingBackoffMs(10, 64), 60'000u);
-    EXPECT_EQ(saturatingBackoffMs(10, 255), 60'000u);
-    // A huge base is clamped, not shifted into wraparound.
-    EXPECT_EQ(saturatingBackoffMs(~std::uint64_t(0), 1), 60'000u);
-    // The cap itself.
-    EXPECT_EQ(saturatingBackoffMs(1'000, 12), 60'000u);
 }
 
 TEST(ServerProtocol, CanonicalKeyCollapsesEquivalentRequests)
@@ -883,37 +869,20 @@ TEST(MwServerTest, NamedErrorsForBadInput)
     ::close(fd);
 }
 
-TEST(MwServerTest, RetriesTransientFaultsThenSucceeds)
-{
-    ServerOptions opt;
-    opt.jobs = 4;
-    opt.allow_test_faults = true;
-    opt.max_retries = 2;
-    opt.backoff_base_ms = 1;
-    LiveServer srv(opt);
-
-    // Two injected failures, three attempts available: succeeds.
-    const JsonValue v = parseOk(srv.rpc(
-        runRequest("r", R"(,"fault":{"fail_points":2})")));
-    EXPECT_EQ(v.find("status")->text, "ok");
-    const ServerCounters c = srv.server().counters();
-    EXPECT_GE(c.retries, 2u);
-    EXPECT_EQ(c.worker_failures, 0u);
-}
-
 TEST(MwServerTest, PersistentFaultsFailWithWorkerFailed)
 {
     ServerOptions opt;
     opt.jobs = 4;
     opt.allow_test_faults = true;
-    opt.max_retries = 1;
-    opt.backoff_base_ms = 1;
     LiveServer srv(opt);
 
-    // More injected failures than total attempts: the run fails.
-    EXPECT_EQ(errorCodeOf(srv.rpc(runRequest(
-                  "r", R"(,"fault":{"fail_points":1000})"))),
-              "worker_failed");
+    // A throwing unit fails the run once, with no retry hint: the
+    // same request would fail the same way.
+    const std::string failed =
+        srv.rpc(runRequest("r", R"(,"fault":{"fail_points":1000})"));
+    EXPECT_EQ(errorCodeOf(failed), "worker_failed");
+    EXPECT_EQ(parseOk(failed).find("error")->find("retry_after_ms"),
+              nullptr);
     EXPECT_GT(srv.server().counters().worker_failures, 0u);
 
     // Fault-injected runs must never be cached: the same request

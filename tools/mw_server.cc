@@ -4,8 +4,7 @@
  *
  *   mw-server --socket PATH --cache-dir DIR [--jobs N]
  *             [--cache-cap-bytes N] [--max-connections N]
- *             [--max-inflight N] [--max-retries N]
- *             [--backoff-base-ms N] [--wedge-grace-ms N]
+ *             [--max-inflight N] [--wedge-grace-ms N]
  *             [--watchdog-interval-ms N] [--batch-window-ms N]
  *             [--allow-test-faults]
  *
@@ -54,8 +53,7 @@ usage(const char *why)
         stderr,
         "usage: mw-server --socket PATH --cache-dir DIR [--jobs N]\n"
         "                 [--cache-cap-bytes N] [--max-connections N]\n"
-        "                 [--max-inflight N] [--max-retries N]\n"
-        "                 [--backoff-base-ms N] [--wedge-grace-ms N]\n"
+        "                 [--max-inflight N] [--wedge-grace-ms N]\n"
         "                 [--watchdog-interval-ms N]\n"
         "                 [--batch-window-ms N]\n"
         "                 [--allow-test-faults]\n");
@@ -107,12 +105,6 @@ main(int argc, char **argv)
                 numberArg("--max-connections", value());
         else if (arg == "--max-inflight")
             opt.max_inflight = numberArg("--max-inflight", value());
-        else if (arg == "--max-retries")
-            opt.max_retries = static_cast<unsigned>(
-                numberArg("--max-retries", value()));
-        else if (arg == "--backoff-base-ms")
-            opt.backoff_base_ms =
-                numberArg("--backoff-base-ms", value());
         else if (arg == "--wedge-grace-ms")
             opt.wedge_grace_ms =
                 numberArg("--wedge-grace-ms", value());
