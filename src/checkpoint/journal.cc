@@ -27,6 +27,44 @@ errnoMessage(const std::string &what, const std::string &path)
 
 } // namespace
 
+std::optional<JournalScan>
+scanJournal(const std::string &path, std::string *why)
+{
+    const auto bytes = readFileBytes(path, why);
+    if (!bytes)
+        return std::nullopt;
+    JournalScan scan;
+    Decoder d(*bytes);
+    const std::uint32_t magic = d.u32();
+    const std::uint32_t version = d.u32();
+    scan.run_hash = d.u64();
+    scan.header_ok = d.ok() && magic == journal_magic &&
+                     version == journal_version;
+    if (!scan.header_ok)
+        return scan;
+    scan.valid_bytes = journal_header;
+    // Scan records; stop at the first torn or corrupt one.
+    while (d.remaining() >= record_header) {
+        const std::uint64_t index = d.u64();
+        const std::uint64_t len = d.u64();
+        const std::uint32_t crc = d.u32();
+        if (d.failed() || len > d.remaining())
+            break;
+        std::vector<std::uint8_t> payload(
+            static_cast<std::size_t>(len));
+        d.bytes(payload.data(), payload.size());
+        if (d.failed() ||
+            crc32(payload.data(), payload.size()) != crc)
+            break;
+        scan.records[static_cast<std::size_t>(index)] =
+            std::move(payload);
+        scan.valid_bytes +=
+            record_header + static_cast<std::size_t>(len);
+    }
+    scan.torn_bytes = bytes->size() - scan.valid_bytes;
+    return scan;
+}
+
 bool
 SweepJournal::open(const std::string &path, std::uint64_t run_hash,
                    std::string *why)
@@ -39,36 +77,13 @@ SweepJournal::open(const std::string &path, std::uint64_t run_hash,
 
     std::size_t valid_len = 0;
     bool fresh = true;
-    std::string read_why;
-    if (auto bytes = readFileBytes(path, &read_why)) {
-        Decoder d(*bytes);
-        const std::uint32_t magic = d.u32();
-        const std::uint32_t version = d.u32();
-        const std::uint64_t hash = d.u64();
-        if (d.ok() && magic == journal_magic &&
-            version == journal_version && hash == run_hash) {
+    if (auto scan = scanJournal(path)) {
+        if (scan->header_ok && scan->run_hash == run_hash) {
             fresh = false;
-            valid_len = journal_header;
-            // Scan records; stop at the first torn or corrupt one.
-            while (d.remaining() >= record_header) {
-                const std::uint64_t index = d.u64();
-                const std::uint64_t len = d.u64();
-                const std::uint32_t crc = d.u32();
-                if (d.failed() || len > d.remaining())
-                    break;
-                std::vector<std::uint8_t> payload(
-                    static_cast<std::size_t>(len));
-                d.bytes(payload.data(), payload.size());
-                if (d.failed() ||
-                    crc32(payload.data(), payload.size()) != crc)
-                    break;
-                records_[static_cast<std::size_t>(index)] =
-                    std::move(payload);
-                valid_len += record_header +
-                             static_cast<std::size_t>(len);
-            }
+            valid_len = scan->valid_bytes;
+            records_ = std::move(scan->records);
             recovered_ = records_.size();
-            torn_bytes_ = bytes->size() - valid_len;
+            torn_bytes_ = scan->torn_bytes;
         } else {
             // Present but not ours: a different run (or garbage).
             // Resuming it would splice foreign results into this

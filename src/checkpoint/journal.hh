@@ -21,7 +21,9 @@
  * length or CRC does not check out marks the torn tail, which is
  * truncated away so the journal is again append-clean. A journal
  * whose run hash differs from the current run is discarded (fresh
- * start), never partially applied.
+ * start), never partially applied. The scan itself (scanJournal) is
+ * read-only, so an inspector can list a journal that a live writer
+ * still owns.
  */
 
 #ifndef MEMWALL_CHECKPOINT_JOURNAL_HH
@@ -29,11 +31,33 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace memwall {
 namespace ckpt {
+
+/** What a read-only scan of a journal file found. */
+struct JournalScan
+{
+    /** Magic and version are this format's; when false, nothing
+     *  below the header was scanned. */
+    bool header_ok = false;
+    std::uint64_t run_hash = 0;
+    /** Intact records, keyed by point index. */
+    std::map<std::size_t, std::vector<std::uint8_t>> records;
+    std::size_t valid_bytes = 0; ///< header + intact records
+    std::size_t torn_bytes = 0;  ///< everything after them
+};
+
+/**
+ * Read the journal at @p path and scan its records front to back,
+ * stopping at the first torn or corrupt one. Never writes to the
+ * file. Returns nullopt with @p why when it cannot be read.
+ */
+std::optional<JournalScan> scanJournal(const std::string &path,
+                                       std::string *why = nullptr);
 
 class SweepJournal
 {

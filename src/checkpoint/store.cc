@@ -1,13 +1,5 @@
 #include "checkpoint/store.hh"
 
-#include <algorithm>
-#include <cstring>
-#include <vector>
-
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 namespace memwall {
 namespace ckpt {
 
@@ -23,70 +15,9 @@ CheckpointStore::save(const std::string &key,
             *why = local_why;
         return false;
     }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++counters_.written;
-    }
-    if (cap_bytes_ > 0)
-        enforceCap(key);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.written;
     return true;
-}
-
-void
-CheckpointStore::enforceCap(const std::string &keep_key)
-{
-    struct Entry
-    {
-        std::string name;
-        std::uint64_t size;
-        std::time_t mtime;
-    };
-    DIR *d = ::opendir(dir_.c_str());
-    if (d == nullptr)
-        return; // directory vanished: nothing to cap
-    std::vector<Entry> entries;
-    std::uint64_t total = 0;
-    const std::string keep_name = keep_key + ".mwcp";
-    while (const dirent *de = ::readdir(d)) {
-        const std::string name = de->d_name;
-        if (name.size() < 5 ||
-            name.compare(name.size() - 5, 5, ".mwcp") != 0)
-            continue;
-        struct stat st;
-        if (::stat((dir_ + "/" + name).c_str(), &st) != 0 ||
-            !S_ISREG(st.st_mode))
-            continue;
-        total += static_cast<std::uint64_t>(st.st_size);
-        entries.push_back(Entry{
-            name, static_cast<std::uint64_t>(st.st_size),
-            st.st_mtime});
-    }
-    ::closedir(d);
-    if (total <= cap_bytes_)
-        return;
-    // Oldest first; name breaks mtime ties so eviction order is
-    // deterministic within one second of activity.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.name < b.name;
-              });
-    std::uint64_t evicted_here = 0;
-    for (const Entry &e : entries) {
-        if (total <= cap_bytes_)
-            break;
-        if (e.name == keep_name)
-            continue; // never evict what we just wrote
-        // Losing an unlink race to another process is fine: the
-        // space is freed either way.
-        ::unlink((dir_ + "/" + e.name).c_str());
-        total -= e.size;
-        ++evicted_here;
-    }
-    if (evicted_here > 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        counters_.evicted += evicted_here;
-    }
 }
 
 LoadError

@@ -9,7 +9,9 @@
  * warming and the store remembers *why* in its counters so the JSON
  * output can surface how often degradation happened. A load never
  * crashes the run and never silently applies bad state — the
- * container layer rejects it first.
+ * container layer rejects it first. Nothing is ever evicted: the
+ * directory holds one file per workload and sampling unit, a count
+ * the plan bounds.
  */
 
 #ifndef MEMWALL_CHECKPOINT_STORE_HH
@@ -34,7 +36,6 @@ struct StoreCounters
     std::uint64_t degraded_version = 0; ///< format skew: rewarm
     std::uint64_t degraded_config = 0;  ///< foreign config: rewarm
     std::uint64_t write_errors = 0;     ///< population failed (I/O)
-    std::uint64_t evicted = 0;          ///< entries removed by the cap
 
     std::uint64_t degraded() const
     {
@@ -53,21 +54,6 @@ class CheckpointStore
 
     const std::string &dir() const { return dir_; }
     std::uint64_t configHash() const { return config_hash_; }
-
-    /**
-     * Cap the total bytes of .mwcp entries in the directory; 0 (the
-     * default) means unbounded. After every successful save the
-     * oldest entries (mtime, then name) are unlinked until the total
-     * fits, so a long-running populator — the experiment service's
-     * result cache rides on this — cannot grow the directory without
-     * bound. The entry just written is never evicted, even when it
-     * alone exceeds the cap. Eviction is advisory under concurrent
-     * access: losing a race to unlink a file another process already
-     * removed is fine, and readers degrade to a rewarm exactly as for
-     * any other missing entry.
-     */
-    void setCapBytes(std::uint64_t cap) { cap_bytes_ = cap; }
-    std::uint64_t capBytes() const { return cap_bytes_; }
 
     std::string pathFor(const std::string &key) const
     {
@@ -98,12 +84,8 @@ class CheckpointStore
     StoreCounters counters() const;
 
   private:
-    /** Unlink oldest entries until the directory fits the cap. */
-    void enforceCap(const std::string &keep_key);
-
     std::string dir_;
     std::uint64_t config_hash_;
-    std::uint64_t cap_bytes_ = 0;
     mutable std::mutex mutex_;
     StoreCounters counters_;
 };

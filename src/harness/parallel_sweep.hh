@@ -4,7 +4,8 @@
  *
  * Every table/figure binary is a sweep over independent
  * (workload x configuration x seed) simulation points. ParallelSweep
- * executes the points concurrently on a work-stealing ThreadPool but
+ * executes the points concurrently on a ThreadPool (which starts
+ * them in submission order but may finish them in any order) and
  * COMMITS their results strictly in submission order on the caller's
  * thread, so the produced tables are byte-for-byte identical to a
  * serial run:

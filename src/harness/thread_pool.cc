@@ -17,14 +17,9 @@ ThreadPool::ThreadPool(unsigned workers)
 {
     if (workers == 0)
         workers = defaultWorkers();
-    workers_.reserve(workers);
+    threads_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
-        workers_.push_back(std::make_unique<Worker>());
-    // Start the threads only once every deque exists: a worker may
-    // inspect any other worker's deque while stealing.
-    for (unsigned i = 0; i < workers; ++i)
-        workers_[i]->thread =
-            std::thread([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -35,8 +30,8 @@ ThreadPool::~ThreadPool()
         stopping_ = true;
     }
     work_cv_.notify_all();
-    for (auto &worker : workers_)
-        worker->thread.join();
+    for (auto &thread : threads_)
+        thread.join();
 }
 
 void
@@ -46,66 +41,42 @@ ThreadPool::submit(Task task)
     {
         std::lock_guard<std::mutex> lock(mu_);
         MW_ASSERT(!stopping_, "submit() on a stopping pool");
-        workers_[next_worker_]->tasks.push_back(std::move(task));
-        next_worker_ = (next_worker_ + 1) % workers();
+        queue_.push_back(std::move(task));
         ++in_flight_;
     }
     work_cv_.notify_one();
 }
 
-bool
-ThreadPool::takeTask(unsigned self, Task &out)
-{
-    auto &own = workers_[self]->tasks;
-    if (!own.empty()) {
-        out = std::move(own.back());
-        own.pop_back();
-        return true;
-    }
-    const unsigned n = workers();
-    for (unsigned k = 1; k < n; ++k) {
-        auto &victim = workers_[(self + k) % n]->tasks;
-        if (!victim.empty()) {
-            out = std::move(victim.front());
-            victim.pop_front();
-            ++steals_;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::workerLoop(unsigned self)
+ThreadPool::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        Task task;
-        if (takeTask(self, task)) {
-            lock.unlock();
-            bool threw = false;
-            try {
-                task();
-            } catch (const std::exception &e) {
-                threw = true;
-                MW_WARN("thread pool task threw: ", e.what());
-            } catch (...) {
-                threw = true;
-                MW_WARN("thread pool task threw a non-std exception");
-            }
-            // Release the closure before reporting completion so any
-            // captured state dies before waitIdle() returns.
-            task = nullptr;
-            lock.lock();
-            if (threw)
-                ++task_exceptions_;
-            if (--in_flight_ == 0)
-                idle_cv_.notify_all();
-            continue;
+        work_cv_.wait(lock,
+                      [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty())
+            return; // stopping, and nothing left to run
+        Task task = std::move(queue_.front());
+        queue_.pop_front();
+        lock.unlock();
+        bool threw = false;
+        try {
+            task();
+        } catch (const std::exception &e) {
+            threw = true;
+            MW_WARN("thread pool task threw: ", e.what());
+        } catch (...) {
+            threw = true;
+            MW_WARN("thread pool task threw a non-std exception");
         }
-        if (stopping_)
-            return;
-        work_cv_.wait(lock);
+        // Release the closure before reporting completion so any
+        // captured state dies before waitIdle() returns.
+        task = nullptr;
+        lock.lock();
+        if (threw)
+            ++task_exceptions_;
+        if (--in_flight_ == 0)
+            idle_cv_.notify_all();
     }
 }
 
@@ -114,13 +85,6 @@ ThreadPool::waitIdle()
 {
     std::unique_lock<std::mutex> lock(mu_);
     idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-std::uint64_t
-ThreadPool::steals() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return steals_;
 }
 
 std::uint64_t

@@ -1,17 +1,14 @@
 /**
  * @file
- * Work-stealing thread pool for the experiment harness.
+ * Thread pool for the experiment harness.
  *
- * Each worker owns a deque: it pushes and pops its own work LIFO
- * (cache-warm) and steals FIFO from the other workers when its deque
- * runs dry, so a burst of tiny tasks submitted to one worker spreads
- * across the machine. External submissions are distributed
- * round-robin over the workers' deques.
- *
- * The pool executes opaque closures and makes NO ordering promises;
- * deterministic experiment output is the job of ParallelSweep, which
- * commits results in submission order regardless of which worker
- * finished first (see parallel_sweep.hh).
+ * All workers take tasks from one FIFO queue, so queued tasks START
+ * in submission order: a later batch of work never overtakes an
+ * earlier one, and a sweep's point 0 is never the last to begin.
+ * Tasks may FINISH in any order; deterministic experiment output is
+ * the job of ParallelSweep, which commits results in submission
+ * order regardless of which worker finished first (see
+ * parallel_sweep.hh).
  */
 
 #ifndef MEMWALL_HARNESS_THREAD_POOL_HH
@@ -21,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -29,9 +25,9 @@
 namespace memwall {
 
 /**
- * Fixed-size pool of worker threads with per-worker deques and work
- * stealing. Fire-and-forget: completion tracking belongs to the
- * caller (ParallelSweep keeps per-point done flags).
+ * Fixed-size pool of worker threads sharing one FIFO task queue.
+ * Fire-and-forget: completion tracking belongs to the caller
+ * (ParallelSweep keeps per-point done flags).
  */
 class ThreadPool
 {
@@ -47,7 +43,8 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue @p task; runs on some worker, in no promised order. */
+    /** Enqueue @p task; it starts after every task submitted
+     *  before it has started. */
     void submit(Task task);
 
     /** Block until every submitted task has finished executing. */
@@ -55,11 +52,8 @@ class ThreadPool
 
     unsigned workers() const
     {
-        return static_cast<unsigned>(workers_.size());
+        return static_cast<unsigned>(threads_.size());
     }
-
-    /** Number of times a worker stole from another's deque. */
-    std::uint64_t steals() const;
 
     /**
      * Number of tasks that exited via an exception. A fire-and-forget
@@ -76,23 +70,14 @@ class ThreadPool
     static unsigned defaultWorkers();
 
   private:
-    struct Worker
-    {
-        std::deque<Task> tasks;  // guarded by the pool mutex
-        std::thread thread;
-    };
-
-    void workerLoop(unsigned self);
-    /** Pop own work (LIFO) or steal (FIFO); pool mutex must be held. */
-    bool takeTask(unsigned self, Task &out);
+    void workerLoop();
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_;
     std::condition_variable idle_cv_;
-    std::vector<std::unique_ptr<Worker>> workers_;
-    unsigned next_worker_ = 0;   // round-robin submission cursor
+    std::deque<Task> queue_;       // guarded by mu_
+    std::vector<std::thread> threads_;
     std::uint64_t in_flight_ = 0;  // queued + executing tasks
-    std::uint64_t steals_ = 0;
     std::uint64_t task_exceptions_ = 0;
     bool stopping_ = false;
 };

@@ -31,7 +31,6 @@ errorCodeName(ErrorCode code)
     case ErrorCode::Overloaded: return "overloaded";
     case ErrorCode::DeadlineExceeded: return "deadline_exceeded";
     case ErrorCode::WorkerFailed: return "worker_failed";
-    case ErrorCode::Quarantined: return "quarantined";
     case ErrorCode::ShuttingDown: return "shutting_down";
     case ErrorCode::Internal: return "internal";
     }

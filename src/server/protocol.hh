@@ -65,7 +65,6 @@ enum class ErrorCode {
     Overloaded,      ///< admission control shed the request
     DeadlineExceeded, ///< computation missed the request deadline
     WorkerFailed,    ///< a compute unit of the run threw
-    Quarantined,     ///< key wedged earlier; watchdog fenced it off
     ShuttingDown,    ///< server is draining
     Internal,        ///< invariant failure inside the server
 };

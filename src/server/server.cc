@@ -20,6 +20,9 @@ namespace server {
 
 namespace {
 
+/** listen(2) backlog of the server socket. */
+constexpr int listen_backlog = 64;
+
 std::chrono::milliseconds
 ms(std::uint64_t v)
 {
@@ -120,7 +123,7 @@ MwServer::start(std::string *why)
         MW_INFORM("mw-server: discarded result journal from a "
                   "different build");
 
-    listen_fd_ = listenUnix(opt_.socket_path, opt_.backlog, why);
+    listen_fd_ = listenUnix(opt_.socket_path, listen_backlog, why);
     if (listen_fd_ < 0)
         return false;
     setCloexec(listen_fd_);
@@ -131,8 +134,6 @@ MwServer::start(std::string *why)
     stopping_ = false;
     pending_.clear();
     inflight_.clear();
-    last_unit_done_ = Clock::now();
-    watchdog_ = std::thread([this] { watchdogLoop(); });
     batcher_ = std::thread([this] { batcherLoop(); });
     started_ = true;
     return true;
@@ -173,7 +174,6 @@ MwServer::shutdownInternal()
         for (auto &[id, conn] : connections_)
             ::shutdown(conn.fd, SHUT_RDWR);
     }
-    stop_cv_.notify_all();
     batch_cv_.notify_all();
 
     for (;;) {
@@ -192,8 +192,6 @@ MwServer::shutdownInternal()
             t.join();
     }
 
-    if (watchdog_.joinable())
-        watchdog_.join();
     // The batcher must stop submitting before the pool dies.
     if (batcher_.joinable())
         batcher_.join();
@@ -386,8 +384,7 @@ MwServer::handlePayload(const std::string &payload, bool &close_after)
 std::string
 MwServer::handleRun(const Request &req)
 {
-    const auto arrival = Clock::now();
-    const auto deadline = arrival + ms(req.run.deadline_ms);
+    const auto deadline = Clock::now() + ms(req.run.deadline_ms);
 
     std::string canonical = canonicalRunKey(req.run);
     if (req.run.has_fault)
@@ -402,18 +399,12 @@ MwServer::handleRun(const Request &req)
     // Two passes at most: the first may drop mu_ to probe the cache
     // (the probe must not hold mu_ — the memo journal may be mid-
     // fsync or compaction under cache_mu_, and request handling must
-    // not stall behind that disk I/O), after which stop/quarantine/
-    // in-flight state must be re-checked from scratch.
+    // not stall behind that disk I/O), after which stop and in-flight
+    // state must be re-checked from scratch.
     for (bool probed = false; entry == nullptr;) {
         if (stopping_)
             return errorResponse(req.id, ErrorCode::ShuttingDown,
                                  "server is draining");
-        if (quarantined_.contains(canonical))
-            return errorResponse(
-                req.id, ErrorCode::Quarantined,
-                "a previous computation of this request wedged; the "
-                "key is fenced off until it completes",
-                static_cast<long>(opt_.wedge_grace_ms));
         if (auto it = inflight_.find(canonical);
             it != inflight_.end()) {
             entry = it->second;
@@ -446,7 +437,6 @@ MwServer::handleRun(const Request &req)
                                  overloaded_retry_after_ms);
         }
         entry = std::make_shared<Inflight>();
-        entry->last_progress = arrival;
         entry->cacheable = !req.run.has_fault;
         inflight_[canonical] = entry;
 
@@ -469,12 +459,10 @@ MwServer::handleRun(const Request &req)
         batch_cv_.notify_one();
     }
 
-    // Owner and joiners alike wait for completion, quarantine, stop
-    // or their own deadline — whichever comes first.
+    // Owner and joiners alike wait for completion, stop or their own
+    // deadline — whichever comes first.
     const auto done_or_doomed = [&] {
-        return stopping_ ||
-               entry->state != Inflight::State::Running ||
-               entry->quarantined;
+        return stopping_ || entry->state != Inflight::State::Running;
     };
     bool in_time = true;
     if (req.run.deadline_ms > 0)
@@ -498,11 +486,6 @@ MwServer::handleRun(const Request &req)
                 "cached",
             static_cast<long>(req.run.deadline_ms));
     }
-    if (entry->quarantined)
-        return errorResponse(
-            req.id, ErrorCode::Quarantined,
-            "the computation wedged past the watchdog grace period",
-            static_cast<long>(opt_.wedge_grace_ms));
     return errorResponse(req.id, ErrorCode::ShuttingDown,
                          "server is draining");
 }
@@ -591,13 +574,7 @@ MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
     std::vector<std::shared_ptr<ComputeJob>> completed;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const auto now = Clock::now();
-        last_unit_done_ = now;
         for (const auto &[job, index] : unit->subscribers) {
-            // Even a failed unit is forward motion: the watchdog
-            // fences off computations where NO unit resolves for a
-            // whole grace period, not merely slow ones.
-            job->entry->last_progress = now;
             if (result) {
                 job->results[index] = result;
             } else {
@@ -634,8 +611,7 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
     // inflight_ until the cache holds it, so a duplicate request can
     // never slip between the two and recompute. The fsync (and any
     // compaction) runs under cache_mu_ only — never under mu_ — so
-    // request handling, stats and the watchdog do not stall behind
-    // disk I/O.
+    // request handling and stats do not stall behind disk I/O.
     if (!job->failed && entry->cacheable) {
         std::string why;
         std::lock_guard<std::mutex> cache_lock(cache_mu_);
@@ -654,50 +630,8 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
         entry->result = std::move(result_json);
         ++counters_.computed;
     }
-    if (entry->quarantined) {
-        // The wedged computation finally finished: lift the fence so
-        // the (now cached) key serves normally again.
-        quarantined_.erase(job->canonical);
-        entry->quarantined = false;
-        ++counters_.unquarantines;
-    }
     inflight_.erase(job->canonical);
     entry->cv.notify_all();
-}
-
-void
-MwServer::watchdogLoop()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stopping_) {
-        stop_cv_.wait_for(lk, ms(opt_.watchdog_interval_ms),
-                          [&] { return stopping_; });
-        if (stopping_)
-            break;
-        const auto now = Clock::now();
-        for (auto &[canonical, entry] : inflight_) {
-            if (entry->state != Inflight::State::Running ||
-                entry->quarantined)
-                continue;
-            // A wedged computation is one where no unit has resolved
-            // for a whole grace period — total age alone would
-            // quarantine a big batched job steadily chewing through
-            // its units on a small pool. And the pool-wide stamp
-            // must be equally stale: a job whose units sit queued
-            // behind someone else's long batch refreshes no stamp of
-            // its own, yet it is waiting its turn, not wedged.
-            if (now - entry->last_progress < ms(opt_.wedge_grace_ms))
-                continue;
-            if (now - last_unit_done_ < ms(opt_.wedge_grace_ms))
-                continue;
-            quarantined_.insert(canonical);
-            entry->quarantined = true;
-            ++counters_.quarantines;
-            MW_WARN("mw-server: quarantined wedged computation: ",
-                    canonical);
-            entry->cv.notify_all();
-        }
-    }
 }
 
 std::string
@@ -708,30 +642,25 @@ MwServer::statsJson()
     // drag mu_ into waiting on that.
     ServerCounters counters;
     std::size_t inflight_count = 0;
-    std::size_t quarantined_count = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         counters = counters_;
         inflight_count = inflight_.size();
-        quarantined_count = quarantined_.size();
     }
     std::size_t cache_entries = 0;
     std::size_t cache_recovered = 0;
     std::size_t cache_torn = 0;
     std::uint64_t cache_compactions = 0;
-    ckpt::StoreCounters mirror;
     {
         std::lock_guard<std::mutex> cache_lock(cache_mu_);
         cache_entries = cache_.size();
         cache_recovered = cache_.recovered();
         cache_torn = cache_.tornBytes();
         cache_compactions = cache_.compactions();
-        mirror = cache_.mirrorCounters();
     }
     std::string out = "{\"build\":\"";
     out += jsonEscape(gitDescribe());
     out += "\",\"workers\":" + std::to_string(pool_->workers());
-    out += ",\"steals\":" + std::to_string(pool_->steals());
     out += ",\"task_exceptions\":" +
            std::to_string(pool_->taskExceptions());
     out += ",\"counters\":{";
@@ -749,10 +678,6 @@ MwServer::statsJson()
            std::to_string(counters.deadline_misses);
     out += ",\"worker_failures\":" +
            std::to_string(counters.worker_failures);
-    out += ",\"quarantines\":" +
-           std::to_string(counters.quarantines);
-    out += ",\"unquarantines\":" +
-           std::to_string(counters.unquarantines);
     out += ",\"batches\":" + std::to_string(counters.batches);
     out += ",\"batched_keys\":" +
            std::to_string(counters.batched_keys);
@@ -765,12 +690,7 @@ MwServer::statsJson()
     out += ",\"recovered\":" + std::to_string(cache_recovered);
     out += ",\"torn_bytes\":" + std::to_string(cache_torn);
     out += ",\"compactions\":" + std::to_string(cache_compactions);
-    out += ",\"mirror_evicted\":" + std::to_string(mirror.evicted);
-    out += ",\"mirror_write_errors\":" +
-           std::to_string(mirror.write_errors);
     out += "},\"inflight\":" + std::to_string(inflight_count);
-    out += ",\"quarantined\":" +
-           std::to_string(quarantined_count);
     out += "}";
     return out;
 }

@@ -15,8 +15,8 @@
  *    always visible in one of the two and a request either joins the
  *    computation or hits the cache — never recomputes. The journal
  *    fsync (and any compaction) runs under a dedicated cache mutex,
- *    never under the state mutex, so request handling and the
- *    watchdog never stall behind disk I/O.
+ *    never under the state mutex, so request handling never stalls
+ *    behind disk I/O.
  *
  *  - Batching: enqueued runs are decomposed into catalog points
  *    (see server/catalog.hh) by a batcher thread that drains the
@@ -33,7 +33,10 @@
  *    deadline_exceeded error immediately; the computation itself is
  *    never torn down (the pool has no preemption and the result is
  *    still worth caching) — it finishes in the background and the
- *    next request is a cache hit.
+ *    next request is a cache hit. Deadlines (and mw-client
+ *    --timeout-ms) are what bound a waiter: the simulators abort on
+ *    their own deadlocks and livelocks, so a unit still running is
+ *    slow, not stuck.
  *
  *  - Worker failure: a compute unit that throws fails every request
  *    subscribed to it with worker_failed, once. Units are
@@ -44,12 +47,6 @@
  *    answered with one overloaded error (with a retry_after_ms hint
  *    of overloaded_retry_after_ms) and closed; over max_inflight a
  *    run request is shed the same way.
- *
- *  - Watchdog: a computation still running wedge_grace_ms past its
- *    start is quarantined — new requests for that key fail fast with
- *    "quarantined" instead of piling onto a wedged computation. If
- *    the computation ever does finish, the key is unquarantined and
- *    the result cached like any other.
  *
  *  - Crash recovery: all completed results live in the ResultCache
  *    journal; a SIGKILL'd server replays it on restart and serves
@@ -69,7 +66,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,12 +86,9 @@ struct ServerOptions
     std::string socket_path;
     std::string cache_dir;
     unsigned jobs = 0; ///< pool workers; 0 = hardware default
-    int backlog = 64;
     std::uint64_t cache_cap_bytes = 0; ///< 0 = unbounded
     std::uint64_t max_connections = 32;
     std::uint64_t max_inflight = 8;
-    std::uint64_t wedge_grace_ms = 30'000; ///< no-unit-progress stall
-    std::uint64_t watchdog_interval_ms = 100;
     /** Batcher linger before draining the run queue: 0 drains
      *  immediately (requests still coalesce while the pool is
      *  busy); >0 trades latency for larger batches. */
@@ -115,8 +108,6 @@ struct ServerCounters
     std::uint64_t bad_requests = 0;  ///< schema/frame/json rejections
     std::uint64_t deadline_misses = 0;
     std::uint64_t worker_failures = 0;
-    std::uint64_t quarantines = 0;
-    std::uint64_t unquarantines = 0;
     std::uint64_t batches = 0;       ///< batcher pool passes
     std::uint64_t batched_keys = 0;  ///< runs drained into a batch
     std::uint64_t points_computed = 0; ///< unit computations executed
@@ -134,7 +125,7 @@ class MwServer
 
     /**
      * Open the cache, bind the socket (reclaiming a stale file from
-     * a killed server) and start the pool and watchdog. Returns
+     * a killed server) and start the pool and batcher. Returns
      * false with @p why on failure.
      */
     bool start(std::string *why);
@@ -162,19 +153,12 @@ class MwServer
     {
         // All fields are guarded by MwServer::mu_; the cv waits on
         // that same mutex. One lock for the whole server keeps the
-        // dedup/cache/quarantine transitions atomic and TSan-clean.
+        // dedup/cache transitions atomic and TSan-clean.
         std::condition_variable cv;
         enum class State { Running, Done, Failed } state =
             State::Running;
         std::string result;       ///< figure JSON when Done
         std::string error_detail; ///< when Failed
-        /** Last time any compute unit delivered a result to this
-         *  entry (its arrival time until the first unit lands). The
-         *  watchdog quarantines on a stall of this timestamp, not on
-         *  total age: a large batched job that is steadily finishing
-         *  units is slow, not wedged. */
-        Clock::time_point last_progress;
-        bool quarantined = false;
         bool cacheable = true; ///< fault-injected runs are not
     };
 
@@ -204,10 +188,8 @@ class MwServer
      *  (or the failure) to every subscribing job. */
     void runUnit(const std::shared_ptr<ComputeUnit> &unit);
     /** Last-point completion: journal the result (under cache_mu_),
-     *  then publish, unquarantine and notify (under mu_). Caller
-     *  holds no locks. */
+     *  then publish and notify (under mu_). Caller holds no locks. */
     void finalize(const std::shared_ptr<ComputeJob> &job);
-    void watchdogLoop();
     /** Join exited connection threads (no locks held on entry). */
     void reapFinishedConnections();
     /** Idempotent teardown shared by run() and the destructor. */
@@ -221,20 +203,13 @@ class MwServer
     std::unique_ptr<ThreadPool> pool_;
 
     mutable std::mutex mu_;
-    std::condition_variable stop_cv_; ///< wakes the watchdog at stop
-    bool stopping_ = false;           // guarded by mu_
+    bool stopping_ = false; // guarded by mu_
     // Guards cache_. Held for the journal fsync and compaction, so
     // it is NEVER acquired while holding mu_ (and vice versa): a
     // thread drops one before taking the other.
     mutable std::mutex cache_mu_;
     ResultCache cache_; // guarded by cache_mu_ once threads exist
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;
-    /** Last time ANY unit resolved, pool-wide; guarded by mu_. A
-     *  request queued behind a busy pool refreshes no per-entry
-     *  stamp, yet it is waiting, not wedged — the watchdog only
-     *  quarantines when the pool as a whole has also stalled. */
-    Clock::time_point last_unit_done_;
-    std::set<std::string> quarantined_;
     ServerCounters counters_;
     /** Runs awaiting a batch pass; guarded by mu_. */
     std::vector<std::shared_ptr<ComputeJob>> pending_;
@@ -244,7 +219,6 @@ class MwServer
     std::vector<std::uint64_t> finished_connections_;
     std::uint64_t next_conn_id_ = 0;
 
-    std::thread watchdog_;
     std::thread batcher_;
 };
 

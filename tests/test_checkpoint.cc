@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -471,6 +470,49 @@ TEST(SweepJournal, ForeignRunHashDiscardsContents)
     EXPECT_EQ(j.lookup(0), nullptr);
 }
 
+TEST(SweepJournal, InspectorListsTornJournalWithoutWritingIt)
+{
+    // `mwckpt journal` is how an operator looks at a live server's
+    // results.mwsj: it must report a torn tail, not truncate it.
+    TempDir dir;
+    const std::string path = dir.file("run.mwsj");
+    {
+        ckpt::SweepJournal j;
+        ASSERT_TRUE(j.open(path, 42));
+        ASSERT_TRUE(j.append(0, payloadFor(0)));
+        ASSERT_TRUE(j.append(5, payloadFor(5)));
+    }
+    {
+        // A writer killed 7 bytes into its next record.
+        std::FILE *f = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        const std::uint8_t partial[7] = {6, 0, 0, 0, 0, 0, 0};
+        std::fwrite(partial, 1, sizeof(partial), f);
+        std::fclose(f);
+    }
+    const auto before = ckpt::readFileBytes(path);
+    ASSERT_TRUE(before.has_value());
+
+    const std::string cmd = std::string(MWCKPT_BIN) + " journal '" +
+                            path + "' > '" + dir.file("out.txt") + "'";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    const auto out = ckpt::readFileBytes(dir.file("out.txt"));
+    ASSERT_TRUE(out.has_value());
+    const std::string text(out->begin(), out->end());
+    EXPECT_NE(text.find("records   2\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("torn tail 7 byte(s)"), std::string::npos)
+        << text;
+    for (const std::size_t i : {0u, 5u}) {
+        char line[64];
+        std::snprintf(line, sizeof(line), "point %4zu  %zu byte(s)\n",
+                      i, payloadFor(i).size());
+        EXPECT_NE(text.find(line), std::string::npos) << text;
+    }
+
+    EXPECT_EQ(ckpt::readFileBytes(path), before)
+        << "inspecting a journal must leave its bytes unchanged";
+}
+
 // ---- Checkpoint store --------------------------------------------------
 
 TEST(SweepJournal, AppendAfterCloseIsNamedError)
@@ -591,51 +633,6 @@ TEST(CheckpointStore, WriteErrorIsCountedNotFatal)
     EXPECT_FALSE(why.empty());
     EXPECT_EQ(store.counters().write_errors, 1u);
     EXPECT_EQ(store.counters().written, 0u);
-}
-
-TEST(CheckpointStore, CapEvictsOldestEntriesFirst)
-{
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, test_config_hash);
-    ckpt::CheckpointWriter w(store.configHash());
-    w.section(ckpt::fourcc("AAAA")).str(std::string(256, 'x'));
-
-    ASSERT_TRUE(store.save("k0", w));
-    struct stat st;
-    ASSERT_EQ(::stat(store.pathFor("k0").c_str(), &st), 0);
-    const auto entry_size = static_cast<std::uint64_t>(st.st_size);
-
-    // Room for three entries; the fourth save must evict exactly
-    // one, and — with all mtimes in the same second — the name
-    // tiebreak makes "k0" the deterministic victim.
-    store.setCapBytes(3 * entry_size);
-    ASSERT_TRUE(store.save("k1", w));
-    ASSERT_TRUE(store.save("k2", w));
-    ASSERT_TRUE(store.save("k3", w));
-
-    EXPECT_EQ(store.counters().evicted, 1u);
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(store.load("k0", r), ckpt::LoadError::Io);
-    EXPECT_EQ(store.counters().degraded_missing, 1u);
-    for (const char *k : {"k1", "k2", "k3"})
-        EXPECT_EQ(store.load(k, r), ckpt::LoadError::None) << k;
-}
-
-TEST(CheckpointStore, CapNeverEvictsTheEntryJustWritten)
-{
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, test_config_hash);
-    store.setCapBytes(1); // nothing fits
-    ckpt::CheckpointWriter w(store.configHash());
-    w.section(ckpt::fourcc("AAAA")).varint(7);
-    ASSERT_TRUE(store.save("only", w));
-    // The just-written entry survives even though it busts the cap.
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(store.load("only", r), ckpt::LoadError::None);
-    ASSERT_TRUE(store.save("next", w));
-    EXPECT_EQ(store.load("next", r), ckpt::LoadError::None);
-    // ...but it is fair game for the following save's sweep.
-    EXPECT_EQ(store.load("only", r), ckpt::LoadError::Io);
 }
 
 TEST(CheckpointStore, TwoProcessSaveLoadRaceNeverShowsTornEntry)

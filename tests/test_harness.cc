@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the parallel experiment harness: the work-stealing
- * ThreadPool, the order-preserving ParallelSweep, per-point seed
+ * Tests of the parallel experiment harness: the FIFO ThreadPool,
+ * the order-preserving ParallelSweep, per-point seed
  * derivation, and — the property the figure/table binaries rely on —
  * that a parallel sweep over real simulation points produces results
  * identical to the serial reference run.
@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -50,12 +52,10 @@ TEST(ThreadPool, RunsEverySubmittedTask)
     EXPECT_EQ(count.load(), 1000);
 }
 
-TEST(ThreadPool, TinyTaskStressStealsWork)
+TEST(ThreadPool, TinyTaskStressRunsEveryTask)
 {
     // Thousands of near-empty tasks force workers through the
-    // submit/steal machinery far more often than they compute.
-    // Round-robin submission spreads tasks over all four deques, so
-    // any worker that outpaces its own deque must steal.
+    // submit/take machinery far more often than they compute.
     ThreadPool pool(4);
     std::atomic<std::uint64_t> sum{0};
     constexpr int tasks = 8000;
@@ -67,8 +67,57 @@ TEST(ThreadPool, TinyTaskStressStealsWork)
     pool.waitIdle();
     EXPECT_EQ(sum.load(),
               static_cast<std::uint64_t>(tasks) * (tasks - 1) / 2);
-    EXPECT_GT(pool.steals(), 0u)
-        << "tiny-task flood should migrate work between deques";
+}
+
+TEST(ThreadPool, QueuedTasksStartInSubmissionOrder)
+{
+    // With every worker busy, queued work must start first-in first-
+    // out: a later server batch may not overtake earlier requests'
+    // units, and a sweep's point 0 may not start last.
+    for (const unsigned workers : {1u, 2u}) {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::vector<int> started;
+        int permits = 0;
+        // Each task logs its start, then holds its worker until the
+        // test hands out a permit, so exactly one worker frees up at
+        // a time and the next start is the queue's next pop.
+        const auto task = [&](int id) {
+            return [&, id] {
+                std::unique_lock<std::mutex> lock(mu);
+                started.push_back(id);
+                cv.notify_all();
+                cv.wait(lock, [&] { return permits > 0; });
+                --permits;
+            };
+        };
+        ThreadPool pool(workers);
+        std::unique_lock<std::mutex> lock(mu);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.submit(task(-1));
+        cv.wait(lock, [&] { return started.size() == workers; });
+        lock.unlock();
+        constexpr int queued = 8;
+        for (int i = 0; i < queued; ++i)
+            pool.submit(task(i));
+        lock.lock();
+        for (int i = 0; i < queued; ++i) {
+            ++permits;
+            cv.notify_all();
+            cv.wait(lock, [&] {
+                return started.size() == workers + i + 1;
+            });
+        }
+        permits += static_cast<int>(workers);
+        cv.notify_all();
+        lock.unlock();
+        pool.waitIdle();
+
+        const std::vector<int> order(started.begin() + workers,
+                                     started.end());
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
+            << workers << " worker(s)";
+    }
 }
 
 TEST(ThreadPool, WaitIdleIsReusable)

@@ -4,7 +4,7 @@
  * framing (including oversized-frame re-sync and stale-socket
  * reclaim), request validation/canonicalization, the crash-safe
  * result cache, and the live server's dedup / deadline / worker-failure /
- * quarantine / overload semantics against an in-process MwServer.
+ * overload semantics against an in-process MwServer.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +22,6 @@
 
 #include <cmath>
 
-#include "checkpoint/checkpoint.hh"
 #include "server/json.hh"
 #include "server/protocol.hh"
 #include "server/result_cache.hh"
@@ -643,32 +643,21 @@ TEST(ResultCacheTest, TornJournalTailIsDroppedNotFatal)
     ASSERT_NE(cache.lookup("k1"), nullptr);
 }
 
-TEST(ResultCacheTest, MirrorEntriesAreValidCheckpoints)
+TEST(ResultCacheTest, JournalIsTheOnlyFileOnDisk)
 {
     TempDir dir;
     std::string why;
     ResultCache cache;
     ASSERT_TRUE(cache.open(dir.path(), 0, &why)) << why;
-    ASSERT_TRUE(cache.insert("key", "payload", &why)) << why;
+    ASSERT_TRUE(cache.insert("k1", "one", &why)) << why;
+    ASSERT_TRUE(cache.insert("k2", "two", &why)) << why;
 
-    // Exactly one .mwcp mirror entry, loadable with full validation.
-    std::string mwcp;
-    const std::string cmd =
-        "ls " + dir.path() + "/*.mwcp > " + dir.path() + "/ls.txt";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
-    std::FILE *f = std::fopen((dir.path() + "/ls.txt").c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[512];
-    ASSERT_NE(std::fgets(buf, sizeof(buf), f), nullptr);
-    std::fclose(f);
-    mwcp.assign(buf);
-    if (!mwcp.empty() && mwcp.back() == '\n')
-        mwcp.pop_back();
-
-    ckpt::CheckpointReader reader;
-    EXPECT_EQ(reader.loadFile(mwcp, std::nullopt),
-              ckpt::LoadError::None)
-        << reader.errorDetail();
+    std::vector<std::string> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir.path()))
+        files.push_back(e.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"results.mwsj"})
+        << "the journal is the cache's one on-disk copy (no *.mwcp)";
 }
 
 TEST(ResultCacheTest, CompactionEvictsOldestWhenOverCap)
@@ -899,46 +888,31 @@ TEST(MwServerTest, DeadlineExpiresButResultIsStillCached)
     opt.allow_test_faults = true;
     LiveServer srv(opt);
 
-    // Points hang 200 ms each; a 40 ms deadline must miss.
+    // A clean run far longer than its 1 ms deadline: the waiter is
+    // answered at the deadline, the computation carries on, the same
+    // request without a deadline joins it, and a third is a hit.
+    const std::string run =
+        R"({"cmd":"run","id":"d","experiment":"fig8","refs":200000)";
+    EXPECT_EQ(errorCodeOf(srv.rpc(run + R"(,"deadline_ms":1})")),
+              "deadline_exceeded");
+    const JsonValue joined = parseOk(srv.rpc(run + "}"));
+    EXPECT_EQ(joined.find("status")->text, "ok");
+    const JsonValue hit = parseOk(srv.rpc(run + "}"));
+    EXPECT_EQ(hit.find("status")->text, "ok");
+    EXPECT_TRUE(hit.find("cached")->boolean);
+    const ServerCounters c = srv.server().counters();
+    EXPECT_EQ(c.computed, 1u) << "a missed deadline never recomputes";
+    EXPECT_EQ(c.deadline_misses, 1u);
+    EXPECT_EQ(c.dedup_joined + c.cache_hits, 2u);
+
+    // Points hang 200 ms each; a 40 ms deadline must miss, and the
+    // uncached fault run still finishes without wedging the server.
     const std::string slow = runRequest(
         "slow", R"(,"deadline_ms":40,"fault":{"hang_ms":200})");
     EXPECT_EQ(errorCodeOf(srv.rpc(slow)), "deadline_exceeded");
-    EXPECT_EQ(srv.server().counters().deadline_misses, 1u);
-
-    // The computation was not torn down: it completes and (being a
-    // run without cacheable semantics — fault runs are not cached)
-    // at least finishes without wedging the server.
+    EXPECT_EQ(srv.server().counters().deadline_misses, 2u);
     const JsonValue pong = parseOk(srv.rpc(R"({"cmd":"ping"})"));
     EXPECT_EQ(pong.find("status")->text, "ok");
-}
-
-TEST(MwServerTest, WatchdogQuarantinesWedgedComputation)
-{
-    ServerOptions opt;
-    opt.jobs = 8;
-    opt.allow_test_faults = true;
-    opt.wedge_grace_ms = 50;
-    opt.watchdog_interval_ms = 5;
-    LiveServer srv(opt);
-
-    // A run whose points hang 400 ms wedges past the 50 ms grace:
-    // the watchdog quarantines it and the request fails fast
-    // instead of hanging forever.
-    const std::string wedged =
-        runRequest("w", R"(,"fault":{"hang_ms":400})");
-    EXPECT_EQ(errorCodeOf(srv.rpc(wedged)), "quarantined");
-    EXPECT_GE(srv.server().counters().quarantines, 1u);
-
-    // While quarantined, duplicates are fenced off immediately.
-    EXPECT_EQ(errorCodeOf(srv.rpc(wedged)), "quarantined");
-
-    // When the computation finally completes, the key is lifted.
-    for (int i = 0; i < 200; ++i) {
-        if (srv.server().counters().unquarantines >= 1)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    EXPECT_GE(srv.server().counters().unquarantines, 1u);
 }
 
 TEST(MwServerTest, AdmissionControlShedsExcessInflight)

@@ -4,17 +4,19 @@
  *
  *   mw-server --socket PATH --cache-dir DIR [--jobs N]
  *             [--cache-cap-bytes N] [--max-connections N]
- *             [--max-inflight N] [--wedge-grace-ms N]
- *             [--watchdog-interval-ms N] [--batch-window-ms N]
+ *             [--max-inflight N] [--batch-window-ms N]
  *             [--allow-test-faults]
  *
  * Listens on a Unix-domain socket for framed JSON requests (see
  * src/server/protocol.hh for the schema), computes the experiment
  * catalog (figures 7/8, the SPEC tables, the SPLASH figures)
  * on a shared thread pool with request deduplication and batching,
- * and memoizes results in a crash-safe on-disk cache under
- * --cache-dir. SIGINT/SIGTERM (or a "shutdown" request) drain and
- * exit cleanly; a SIGKILL'd server replays its journal on restart.
+ * and memoizes results in a crash-safe journal,
+ * <cache-dir>/results.mwsj, which --cache-cap-bytes bounds through
+ * compaction and `mwckpt journal` lists. SIGINT/SIGTERM (or a
+ * "shutdown" request) drain and exit cleanly; a SIGKILL'd server
+ * replays its journal on restart. Request deadlines (deadline_ms)
+ * and mw-client --timeout-ms bound how long any client waits.
  *
  * --allow-test-faults enables the "fault" request field used by the
  * torture bench to inject worker failures and hangs; never pass it
@@ -53,9 +55,7 @@ usage(const char *why)
         stderr,
         "usage: mw-server --socket PATH --cache-dir DIR [--jobs N]\n"
         "                 [--cache-cap-bytes N] [--max-connections N]\n"
-        "                 [--max-inflight N] [--wedge-grace-ms N]\n"
-        "                 [--watchdog-interval-ms N]\n"
-        "                 [--batch-window-ms N]\n"
+        "                 [--max-inflight N] [--batch-window-ms N]\n"
         "                 [--allow-test-faults]\n");
     std::exit(2);
 }
@@ -105,12 +105,6 @@ main(int argc, char **argv)
                 numberArg("--max-connections", value());
         else if (arg == "--max-inflight")
             opt.max_inflight = numberArg("--max-inflight", value());
-        else if (arg == "--wedge-grace-ms")
-            opt.wedge_grace_ms =
-                numberArg("--wedge-grace-ms", value());
-        else if (arg == "--watchdog-interval-ms")
-            opt.watchdog_interval_ms =
-                numberArg("--watchdog-interval-ms", value());
         else if (arg == "--batch-window-ms")
             opt.batch_window_ms =
                 numberArg("--batch-window-ms", value());

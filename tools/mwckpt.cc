@@ -4,7 +4,8 @@
  *
  *   mwckpt info     file.mwcp   header + section table dump
  *   mwckpt verify   file.mwcp   full CRC walk; exit 1 on any damage
- *   mwckpt journal  file.mwsj   record listing of a sweep journal
+ *   mwckpt journal  file.mwsj   record listing of a sweep journal or
+ *                               a server's results.mwsj; read-only
  *   mwckpt selftest             write/corrupt/reject round trip in
  *                               a scratch directory (smoke test)
  *
@@ -94,46 +95,28 @@ cmdVerify(const char *path)
 int
 cmdJournal(const char *path)
 {
-    ckpt::SweepJournal journal;
+    // Read-only: the journal may belong to a live writer (a server's
+    // <cache-dir>/results.mwsj), so a torn tail is reported, never
+    // truncated.
     std::string why;
-    // Run hash 0 never matches a real journal; a foreign-hash open
-    // still reports the record scan, which is what the inspector
-    // wants — but it would also TRUNCATE the file, so peek at the
-    // header hash first and reopen with it.
-    const auto bytes = ckpt::readFileBytes(path, &why);
-    if (!bytes) {
+    const auto scan = ckpt::scanJournal(path, &why);
+    if (!scan) {
         std::fprintf(stderr, "mwckpt: %s\n", why.c_str());
         return 1;
     }
-    if (bytes->size() < 16) {
-        std::printf("%s: not a sweep journal (too short)\n", path);
-        return 1;
-    }
-    ckpt::Decoder header(bytes->data(), bytes->size());
-    const std::uint32_t magic = header.u32();
-    header.u32(); // version
-    const std::uint64_t run_hash = header.u64();
-    if (magic != ckpt::fourcc("MWSJ")) {
+    if (!scan->header_ok) {
         std::printf("%s: not a MWSJ sweep journal\n", path);
-        return 1;
-    }
-    if (!journal.open(path, run_hash, &why)) {
-        std::fprintf(stderr, "mwckpt: %s\n", why.c_str());
         return 1;
     }
     std::printf("%s: MWSJ sweep journal\n", path);
     std::printf("  run hash  %016llx\n",
-                static_cast<unsigned long long>(run_hash));
-    std::printf("  records   %zu\n", journal.recovered());
-    if (journal.tornBytes())
-        std::printf("  torn tail %zu byte(s) truncated\n",
-                    journal.tornBytes());
-    for (std::size_t i = 0; i < 1u << 20; ++i) {
-        const auto *payload = journal.lookup(i);
-        if (payload)
-            std::printf("    point %4zu  %zu byte(s)\n", i,
-                        payload->size());
-    }
+                static_cast<unsigned long long>(scan->run_hash));
+    std::printf("  records   %zu\n", scan->records.size());
+    if (scan->torn_bytes)
+        std::printf("  torn tail %zu byte(s)\n", scan->torn_bytes);
+    for (const auto &[index, payload] : scan->records)
+        std::printf("    point %4zu  %zu byte(s)\n", index,
+                    payload.size());
     return 0;
 }
 
