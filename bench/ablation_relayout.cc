@@ -59,7 +59,9 @@ main(int argc, char **argv)
         table.addRow(
             {w.name, TextTable::num(before * 100, 3),
              TextTable::num(after * 100, 3),
-             (after <= before ? "-" : "+") +
+             // A char sign: GCC 12 reports a false -Wrestrict
+             // inside const char * + std::string.
+             (after <= before ? '-' : '+') +
                  TextTable::num(
                      100.0 * std::abs(after - before) /
                          std::max(before, 1e-9),

@@ -252,49 +252,6 @@ BM_EccEncodeDecode(benchmark::State &state)
 BENCHMARK(BM_EccEncodeDecode);
 
 void
-BM_EventQueueScheduleDispatch(benchmark::State &state)
-{
-    // The simulator's hottest kernel loop: schedule a burst of
-    // events whose captures exceed std::function's internal buffer,
-    // then drain them. Guards the allocation-free schedule path.
-    EventQueue q;
-    std::uint64_t sum = 0;
-    std::uint64_t a = 1, b = 2, c = 3;
-    for (auto _ : state) {
-        for (int i = 0; i < 256; ++i) {
-            q.scheduleIn(static_cast<Tick>(i + 1), [&sum, a, b, c] {
-                sum += a + b + c;
-            });
-        }
-        q.run();
-    }
-    benchmark::DoNotOptimize(sum);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_EventQueueScheduleDispatch);
-
-void
-BM_EventQueueScheduleCancel(benchmark::State &state)
-{
-    // Schedule a burst, cancel every other event, drain the rest —
-    // the retransmission-timer pattern of the reliable link.
-    EventQueue q;
-    std::uint64_t fired = 0;
-    std::vector<std::uint64_t> tickets(256);
-    for (auto _ : state) {
-        for (int i = 0; i < 256; ++i)
-            tickets[static_cast<std::size_t>(i)] = q.scheduleIn(
-                static_cast<Tick>(i + 1), [&fired] { ++fired; });
-        for (int i = 0; i < 256; i += 2)
-            q.deschedule(tickets[static_cast<std::size_t>(i)]);
-        q.run();
-    }
-    benchmark::DoNotOptimize(fired);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_EventQueueScheduleCancel);
-
-void
 BM_MissRatePoint(benchmark::State &state)
 {
     // End-to-end sweep point as executed by the fig7/fig8 harness:

@@ -132,6 +132,10 @@ class Decoder
     {
     }
 
+    /** The decoder only points into its input, so a temporary buffer
+     *  would be freed before the first read. */
+    Decoder(std::vector<std::uint8_t> &&) = delete;
+
     std::uint8_t u8()
     {
         if (!need(1, "u8"))

@@ -43,7 +43,9 @@ std::string
 format(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
+    // A comma fold, so an empty pack is a no-op instead of a bare
+    // `os;` statement.
+    ((os << std::forward<Args>(args)), ...);
     return os.str();
 }
 

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "common/logging.hh"
-
 namespace memwall {
 
 void
@@ -44,95 +42,6 @@ double
 SampleStat::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, unsigned buckets)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / std::max(1u, buckets)),
-      buckets_(std::max(1u, buckets), 0)
-{
-    MW_ASSERT(hi > lo, "histogram range must be non-empty");
-}
-
-void
-Histogram::add(double x, std::uint64_t weight)
-{
-    count_ += weight;
-    if (x < lo_) {
-        underflow_ += weight;
-    } else if (x >= hi_) {
-        overflow_ += weight;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        idx = std::min(idx, buckets_.size() - 1);
-        buckets_[idx] += weight;
-    }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    count_ = 0;
-}
-
-double
-Histogram::bucketLow(unsigned i) const
-{
-    return lo_ + width_ * i;
-}
-
-double
-Histogram::bucketHigh(unsigned i) const
-{
-    return lo_ + width_ * (i + 1);
-}
-
-double
-Histogram::quantile(double p) const
-{
-    MW_ASSERT(p >= 0.0 && p <= 1.0, "quantile fraction out of range");
-    if (count_ == 0)
-        return lo_;
-
-    // p = 0 is the infimum of the recorded mass: the low edge of the
-    // first occupied bin (clamped to the histogram range for the
-    // open-ended underflow/overflow bins).
-    if (p <= 0.0) {
-        if (underflow_)
-            return lo_;
-        for (unsigned i = 0; i < buckets_.size(); ++i)
-            if (buckets_[i])
-                return bucketLow(i);
-        return hi_;  // all mass in overflow
-    }
-
-    // quantile(p) = inf{x : mass(<= x) >= p * count}. The target
-    // stays real-valued: truncating it to an integer shifted every
-    // quantile of an odd-count histogram down by up to one sample,
-    // and the old strict '>' comparison walked past the last
-    // occupied bucket for p = 1.0, returning hi_ no matter where the
-    // mass actually was.
-    const double target = p * static_cast<double>(count_);
-    double seen = static_cast<double>(underflow_);
-    if (seen >= target)
-        return lo_;  // quantile lies below the range: clamp to lo_
-    for (unsigned i = 0; i < buckets_.size(); ++i) {
-        if (!buckets_[i])
-            continue;
-        const double before = seen;
-        seen += static_cast<double>(buckets_[i]);
-        if (seen >= target) {
-            // Linear interpolation within the bucket; frac is in
-            // (0, 1], so p = 1.0 lands on the bucket's high edge.
-            const double frac = (target - before) /
-                                static_cast<double>(buckets_[i]);
-            return bucketLow(i) + frac * width_;
-        }
-    }
-    return hi_;  // remaining mass sits in the overflow bin
 }
 
 double

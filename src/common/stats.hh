@@ -4,8 +4,8 @@
  *
  * The design borrows gem5's idea of named, self-describing statistics
  * grouped per component, but stays deliberately small: counters,
- * ratios (formulas over two counters), scalar samples with
- * mean/stddev, and fixed-bucket histograms.
+ * ratios (formulas over two counters), and scalar samples with
+ * mean/stddev.
  */
 
 #ifndef MEMWALL_COMMON_STATS_HH
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace memwall {
 
@@ -95,42 +94,6 @@ class SampleStat
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Histogram over [lo, hi) with equal-width buckets plus underflow and
- * overflow bins.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned buckets);
-
-    void add(double x, std::uint64_t weight = 1);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucket(unsigned i) const { return buckets_.at(i); }
-    unsigned numBuckets() const
-    {
-        return static_cast<unsigned>(buckets_.size());
-    }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    double bucketLow(unsigned i) const;
-    double bucketHigh(unsigned i) const;
-
-    /** @return the p-quantile (0 <= p <= 1) estimated from buckets. */
-    double quantile(double p) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
 };
 
 /**

@@ -21,7 +21,7 @@ using Addr = std::uint64_t;
 /** A duration or timestamp measured in CPU clock cycles. */
 using Cycles = std::uint64_t;
 
-/** Event-queue timestamp (same unit as Cycles in this code base). */
+/** Simulated timestamp (same unit as Cycles in this code base). */
 using Tick = std::uint64_t;
 
 /** Sentinel for "no address". */

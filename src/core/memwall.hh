@@ -30,7 +30,6 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
-#include "sim/event_queue.hh"
 
 // Memory substrate
 #include "mem/backing_store.hh"

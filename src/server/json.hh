@@ -72,9 +72,6 @@ struct JsonValue
 bool parseJson(std::string_view in, JsonValue &out, std::string &err,
                std::size_t max_depth = 32);
 
-/** Escape @p s for inclusion inside a JSON string literal. */
-std::string jsonEscape(std::string_view s);
-
 } // namespace server
 } // namespace memwall
 

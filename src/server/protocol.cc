@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "checkpoint/codec.hh"
+#include "common/json_text.hh"
 #include "server/json.hh"
 #include "workloads/spec_tables.hh"
 
@@ -445,7 +446,7 @@ std::string
 okResponse(const std::string &id, bool cached,
            const std::string &result_json)
 {
-    std::string out = "{\"id\":\"" + jsonEscape(id) +
+    std::string out = "{\"id\":\"" + jsontext::escape(id) +
                       "\",\"status\":\"ok\",\"cached\":";
     out += cached ? "true" : "false";
     // "result" last, value spliced verbatim: the member's byte span
@@ -460,10 +461,10 @@ std::string
 errorResponse(const std::string &id, ErrorCode code,
               const std::string &detail, long retry_after_ms)
 {
-    std::string out = "{\"id\":\"" + jsonEscape(id) +
+    std::string out = "{\"id\":\"" + jsontext::escape(id) +
                       "\",\"status\":\"error\",\"error\":{\"code\":\"";
     out += errorCodeName(code);
-    out += "\",\"detail\":\"" + jsonEscape(detail) + "\"";
+    out += "\",\"detail\":\"" + jsontext::escape(detail) + "\"";
     if (retry_after_ms >= 0)
         out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
     out += "}}";

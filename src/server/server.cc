@@ -10,9 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json_text.hh"
 #include "common/logging.hh"
 #include "server/catalog.hh"
-#include "server/json.hh"
 #include "server/wire.hh"
 
 namespace memwall {
@@ -659,7 +659,7 @@ MwServer::statsJson()
         cache_compactions = cache_.compactions();
     }
     std::string out = "{\"build\":\"";
-    out += jsonEscape(gitDescribe());
+    out += jsontext::escape(gitDescribe());
     out += "\",\"workers\":" + std::to_string(pool_->workers());
     out += ",\"task_exceptions\":" +
            std::to_string(pool_->taskExceptions());

@@ -100,10 +100,6 @@ flightKindName(FlightKind kind)
         return "VIOLATION";
       case FlightKind::WatchdogWarn:
         return "watchdog-warn";
-      case FlightKind::TxnBegin:
-        return "txn-begin";
-      case FlightKind::TxnEnd:
-        return "txn-end";
     }
     return "?";
 }
@@ -204,8 +200,6 @@ FlightRecorder::dump(std::ostream &os,
               case FlightKind::MachineCheck:
               case FlightKind::LinkFailure:
               case FlightKind::Violation:
-              case FlightKind::TxnBegin:
-              case FlightKind::TxnEnd:
                 break;
             }
             os << '\n';

@@ -36,8 +36,6 @@ enum class FlightKind : std::uint8_t {
     FaultInjected,  ///< soft error landed; a = bit index
     Violation,      ///< shadow-checker invariant violation
     WatchdogWarn,   ///< watchdog escalation step
-    TxnBegin,       ///< open-transaction tracking started
-    TxnEnd,         ///< open transaction completed
 };
 
 /** Decoded name of @p kind ("access-end", "nack", ...). */

@@ -1,26 +1,18 @@
 /**
  * @file
- * Per-transaction watchdogs: turn silent protocol hangs and
- * livelocks into staged, diagnosable escalations.
+ * Per-transaction watchdog: turns protocol livelocks into staged,
+ * diagnosable escalations.
  *
- * Two failure shapes are covered:
- *
- *  - **Livelock** — a transaction keeps getting NACKed and retried.
- *    The watchdog counts retries per transaction and escalates when
- *    thresholds are crossed. Completed accesses whose total latency
- *    is pathological are reported the same way.
- *
- *  - **Stall** — a transaction opens and never completes (a lost
- *    reply, a wedged engine). Open transactions are registered with
- *    beginTransaction()/endTransaction(); a periodic scan event on
- *    the machine's EventQueue (armOn()) measures their age against
- *    sim-time thresholds.
+ * A transaction that keeps getting NACKed and retried is a livelock
+ * candidate: the watchdog counts retries per transaction and
+ * escalates when thresholds are crossed. Completed accesses whose
+ * total latency is pathological are reported the same way.
  *
  * Escalation is staged per transaction: warn (a line on the dump
  * stream + recorder entry) -> dump (flight-recorder post-mortem) ->
- * fatal (handler;
- * default MW_FATAL). Each stage fires at most once per transaction,
- * so a wedged run produces one readable report, not a log flood.
+ * fatal (handler; default MW_FATAL). Each stage fires at most once
+ * per transaction, so a livelocked run produces one readable report,
+ * not a log flood.
  */
 
 #ifndef MEMWALL_VERIFY_WATCHDOG_HH
@@ -37,8 +29,6 @@
 
 namespace memwall {
 
-class EventQueue;
-
 /** Escalation thresholds. */
 struct WatchdogConfig
 {
@@ -52,14 +42,6 @@ struct WatchdogConfig
     Cycles warn_latency = 100'000;
     /** Completed-access latency that triggers the fatal handler. */
     Cycles fatal_latency = 1'000'000;
-    /** Period of the open-transaction scan event (armOn). */
-    Tick scan_interval = 10'000;
-    /** Open-transaction age at which to warn. */
-    Tick stall_warn = 50'000;
-    /** Age at which to dump the flight recorder. */
-    Tick stall_dump = 100'000;
-    /** Age at which to run the fatal handler. */
-    Tick stall_fatal = 500'000;
 };
 
 /** Watchdog over protocol transactions. */
@@ -85,42 +67,11 @@ class TransactionWatchdog
         fatal_handler_ = std::move(handler);
     }
 
-    // ---- Livelock interest (synchronous transactions) -------------
-
     /** Report the @p tries-th retry of @p cpu's transaction. */
     void onRetry(unsigned cpu, Addr block, unsigned tries);
 
     /** Report a completed access and its total latency. */
     void onComplete(unsigned cpu, Addr block, Cycles latency);
-
-    // ---- Stall interest (open transactions) -----------------------
-
-    /**
-     * Register an in-flight transaction; @return its id for
-     * endTransaction(). Never-ended transactions are the hang case
-     * the scan detects.
-     */
-    std::uint64_t beginTransaction(unsigned node, Addr block,
-                                   Tick now);
-
-    /** Complete a registered transaction. */
-    void endTransaction(std::uint64_t id, Tick now);
-
-    /** Open transactions currently tracked. */
-    std::size_t openTransactions() const { return open_.size(); }
-
-    /**
-     * Scan open transactions at time @p now, escalating any whose
-     * age crossed a threshold. Called by the armed event; callable
-     * directly from tests.
-     */
-    void scan(Tick now);
-
-    /**
-     * Arm a periodic scan on @p queue (every scan_interval ticks).
-     * The scan re-arms itself for as long as the queue runs.
-     */
-    void armOn(EventQueue &queue);
 
     // ---- Outcome counters -----------------------------------------
     std::uint64_t warnings() const { return warnings_; }
@@ -131,26 +82,16 @@ class TransactionWatchdog
     /** Highest escalation stage already fired (0 = none). */
     enum Stage : std::uint8_t { None = 0, Warned, Dumped, Fataled };
 
-    struct OpenTxn
-    {
-        unsigned node = 0;
-        Addr block = 0;
-        Tick started = 0;
-        Stage stage = None;
-    };
-
     /** Escalate to @p target if not already there. */
     void escalate(Stage &stage, Stage target, unsigned node,
-                  Addr block, Tick tick, const std::string &why);
+                  Addr block, const std::string &why);
 
     WatchdogConfig config_;
     FlightRecorder *recorder_;
     std::ostream *dump_stream_;
     FatalHandler fatal_handler_;
-    std::uint64_t next_txn_ = 1;
-    std::unordered_map<std::uint64_t, OpenTxn> open_;
-    /** Escalation stage of the current synchronous transaction per
-     * (cpu, block); reset when a different block is reported. */
+    /** Escalation stage of the current transaction per (cpu, block);
+     * reset when a different block is reported. */
     std::unordered_map<unsigned, std::pair<Addr, Stage>> sync_stage_;
     std::uint64_t warnings_ = 0;
     std::uint64_t dumps_ = 0;

@@ -3,8 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json_text.hh"
 #include "common/logging.hh"
-#include "workloads/json_text.hh"
 
 namespace memwall {
 

@@ -1,9 +1,9 @@
 #include "workloads/spec_tables.hh"
 
+#include "common/json_text.hh"
 #include "common/logging.hh"
 #include "harness/parallel_sweep.hh"
 #include "mem/hierarchy.hh"
-#include "workloads/json_text.hh"
 
 namespace memwall {
 

@@ -2,8 +2,8 @@
 
 #include <cinttypes>
 
+#include "common/json_text.hh"
 #include "common/logging.hh"
-#include "workloads/json_text.hh"
 
 namespace memwall {
 

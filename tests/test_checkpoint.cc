@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/wait.h>
@@ -112,6 +113,11 @@ scrambled(std::uint64_t i)
 } // namespace
 
 // ---- Codec -------------------------------------------------------------
+
+// A Decoder keeps a pointer into its input; one built from a temporary
+// buffer would read freed memory.
+static_assert(
+    !std::is_constructible_v<ckpt::Decoder, std::vector<std::uint8_t>>);
 
 TEST(CkptCodec, VarintRoundTrip)
 {
@@ -904,7 +910,8 @@ TEST(StateRoundTrip, SplashSampler)
     SamplingPlan other = plan;
     other.period_units = 20;
     SplashSampler foreign(other, 4, 1000);
-    ckpt::Decoder d(stateBytes(src));
+    const std::vector<std::uint8_t> bytes = stateBytes(src);
+    ckpt::Decoder d(bytes);
     foreign.loadState(d);
     EXPECT_TRUE(d.failed());
 }

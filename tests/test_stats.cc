@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for counters, sample statistics, histograms and the
- * load/store miss accounting.
+ * Tests for counters, sample statistics and the load/store miss
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -159,109 +159,6 @@ TEST(SampleStat, RampMeanStaysExact)
     // this offset is O(10); the naive sum-of-squares formula is off
     // by O(1e6) here, so the tolerance separates them cleanly.
     EXPECT_NEAR(s.variance(), n * (n + 1.0) / 12.0, 500.0);
-}
-
-TEST(Histogram, BucketsAndBounds)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.0);
-    h.add(0.5);
-    h.add(9.999);
-    h.add(-1.0);
-    h.add(10.0);
-    h.add(25.0);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(3), 3.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(3), 4.0);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.5, 10);
-    EXPECT_EQ(h.count(), 10u);
-    EXPECT_EQ(h.bucket(1), 10u);
-}
-
-TEST(Histogram, QuantileUniform)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(Histogram, QuantileBoundaryTable)
-{
-    // Regression table for the quantile boundary rewrite. The old
-    // implementation truncated the rank to an integer and used a
-    // strict '>' walk, so p = 1.0 fell off the end (returning hi_
-    // regardless of the data) and odd-count medians shifted down by
-    // one sample.
-    Histogram h(0.0, 10.0, 10);
-    h.add(2.5);  // bucket 2
-    h.add(4.5);  // bucket 4
-    h.add(6.5);  // bucket 6
-
-    // p = 0: infimum of the mass = low edge of the first occupied bin.
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
-    // Odd-count median: the 1.5th sample lands mid-bucket 4.
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 4.5);
-    // p = 1: high edge of the last occupied bin, not hi_.
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 7.0);
-}
-
-TEST(Histogram, QuantileAllUnderflow)
-{
-    Histogram h(10.0, 20.0, 5);
-    h.add(-5.0);
-    h.add(0.0);
-    // Mass entirely below the range clamps every quantile to lo.
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 10.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-}
-
-TEST(Histogram, QuantileAllOverflow)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(11.0);
-    h.add(99.0);
-    // Mass entirely above the range clamps every quantile to hi.
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 10.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-}
-
-TEST(Histogram, QuantileSingleBucket)
-{
-    Histogram h(0.0, 8.0, 1);
-    h.add(3.0, 4);
-    // All mass in one bin: quantiles interpolate across its width.
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 4.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 8.0);
-}
-
-TEST(Histogram, QuantileEmptyReturnsLow)
-{
-    Histogram h(1.0, 2.0, 4);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucket(2), 0u);
 }
 
 TEST(AccessStats, RatesSplitByType)

@@ -26,6 +26,7 @@
 #include "analysis/absint.hh"
 #include "analysis/charact.hh"
 #include "analysis/lint.hh"
+#include "common/json_text.hh"
 #include "isa/assembler.hh"
 
 using namespace memwall;
@@ -118,8 +119,7 @@ dumpCharact(const StaticCharacterization &chr)
 }
 
 void
-dumpRanges(const Program &prog, const StaticCharacterization &chr,
-           const AbsInt &ai)
+dumpRanges(const StaticCharacterization &chr, const AbsInt &ai)
 {
     if (ai.topMode()) {
         std::printf("; ranges: top (unbounded control flow)\n");
@@ -146,25 +146,6 @@ dumpRanges(const Program &prog, const StaticCharacterization &chr,
                         chr.footprint_bound_bytes));
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 void
 printJson(const std::string &file,
           const std::vector<Diagnostic> &diags,
@@ -172,7 +153,7 @@ printJson(const std::string &file,
           bool last)
 {
     std::printf("  {\n    \"file\": \"%s\",\n",
-                jsonEscape(file).c_str());
+                jsontext::escape(file).c_str());
     std::printf("    \"top_mode\": %s,\n",
                 ai.topMode() ? "true" : "false");
     std::printf("    \"diagnostics\": [");
@@ -181,10 +162,10 @@ printJson(const std::string &file,
         std::printf(
             "%s\n      {\"id\": \"%s\", \"severity\": \"%s\", "
             "\"line\": %u, \"addr\": %llu, \"message\": \"%s\"}",
-            i ? "," : "", jsonEscape(d.id).c_str(),
+            i ? "," : "", jsontext::escape(d.id).c_str(),
             d.severity == Severity::Error ? "error" : "warning",
             d.line, static_cast<unsigned long long>(d.addr),
-            jsonEscape(d.message).c_str());
+            jsontext::escape(d.message).c_str());
     }
     std::printf("%s],\n", diags.empty() ? "" : "\n    ");
     std::printf("    \"loops\": [");
@@ -213,7 +194,7 @@ printJson(const std::string &file,
                     "\"size\": %u, \"ea\": \"%s\"",
                     first ? "" : ",", m.line,
                     m.is_store ? "true" : "false", m.size,
-                    jsonEscape(ai.addressRange(m.instr).str())
+                    jsontext::escape(ai.addressRange(m.instr).str())
                         .c_str());
         if (m.range_known)
             std::printf(", \"range\": [%llu, %llu]",
@@ -337,7 +318,7 @@ main(int argc, char **argv)
         if (show_charact)
             dumpCharact(chr);
         if (show_ranges)
-            dumpRanges(prog, chr, ai);
+            dumpRanges(chr, ai);
         for (const Diagnostic &d : diags)
             std::printf("%s\n", d.format(arg).c_str());
         if (!quiet)

@@ -38,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "common/json_text.hh"
 #include "server/json.hh"
 #include "server/wire.hh"
 
@@ -152,9 +153,9 @@ main(int argc, char **argv)
             usage("run needs --experiment NAME (fig7 fig8 table1 "
                   "table3 table4 fig13 fig14 fig15 fig16 fig17)");
         request = "{\"cmd\":\"run\",\"experiment\":\"" +
-                  jsonEscape(experiment) + "\"";
+                  jsontext::escape(experiment) + "\"";
         if (!id.empty())
-            request += ",\"id\":\"" + jsonEscape(id) + "\"";
+            request += ",\"id\":\"" + jsontext::escape(id) + "\"";
         if (quick)
             request += ",\"quick\":true";
         if (refs > 0)
@@ -162,7 +163,7 @@ main(int argc, char **argv)
         if (have_seed_flag)
             request += ",\"seed\":" + std::to_string(seed);
         if (!sample.empty())
-            request += ",\"sample\":\"" + jsonEscape(sample) + "\"";
+            request += ",\"sample\":\"" + jsontext::escape(sample) + "\"";
         if (nodes > 0)
             request += ",\"nodes\":" + std::to_string(nodes);
         if (deadline_ms > 0)
@@ -172,7 +173,7 @@ main(int argc, char **argv)
     } else {
         request = "{\"cmd\":\"" + cmd + "\"";
         if (!id.empty())
-            request += ",\"id\":\"" + jsonEscape(id) + "\"";
+            request += ",\"id\":\"" + jsontext::escape(id) + "\"";
         request += "}";
     }
 
