@@ -144,19 +144,6 @@ VRange::bits(std::uint32_t mask, std::uint32_t val)
     return r.reduced();
 }
 
-bool
-VRange::subsetOf(const VRange &o) const
-{
-    if (empty_flag)
-        return true;
-    if (o.empty_flag)
-        return false;
-    // Sufficient (not necessary) test: each component refines.
-    return lo >= o.lo && hi <= o.hi &&
-           (o.known_mask & ~known_mask) == 0 &&
-           (known_val & o.known_mask) == o.known_val;
-}
-
 std::int32_t
 VRange::smin() const
 {

@@ -83,8 +83,6 @@ struct VRange
         return !empty_flag && lo <= v && v <= hi &&
                (v & known_mask) == known_val;
     }
-    /** @return true iff every value of *this is a value of @p o. */
-    bool subsetOf(const VRange &o) const;
     bool operator==(const VRange &o) const
     {
         return empty_flag == o.empty_flag &&

@@ -149,43 +149,4 @@ Directory::lookup(Addr addr) const
     return it == map_.end() ? DirEntry{} : it->second;
 }
 
-void
-Directory::saveState(ckpt::Encoder &e) const
-{
-    e.varint(nodes_);
-    e.varint(map_.size());
-    std::vector<Addr> addrs;
-    addrs.reserve(map_.size());
-    for (const auto &[addr, entry] : map_)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    for (const Addr addr : addrs) {
-        e.varint(addr);
-        e.u16(map_.at(addr).encode());
-    }
-}
-
-void
-Directory::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t nodes = d.varint();
-    const std::uint64_t count = d.varint();
-    if (d.failed())
-        return;
-    if (nodes != nodes_) {
-        d.fail("directory: node count mismatch");
-        return;
-    }
-    std::unordered_map<Addr, DirEntry> map;
-    map.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const Addr addr = d.varint();
-        const std::uint16_t bits = d.u16();
-        if (d.failed())
-            return;
-        map[addr] = DirEntry::decode(bits);
-    }
-    map_ = std::move(map);
-}
-
 } // namespace memwall

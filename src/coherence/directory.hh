@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "coherence/protocol.hh"
 
 namespace memwall {
@@ -96,16 +95,6 @@ class Directory
      * block, as stored in the freed ECC bits (always 14).
      */
     static constexpr unsigned bitsPerBlock() { return 14; }
-
-    /**
-     * Serialize the materialised entries in ascending address order
-     * (canonical bytes regardless of hash-map iteration order),
-     * each as its packed 14-bit form.
-     */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     unsigned nodes_;

@@ -1,6 +1,5 @@
 #include "coherence/inc.hh"
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -69,26 +68,6 @@ std::uint64_t
 InterNodeCache::dataCapacity() const
 {
     return cache_.config().capacity;
-}
-
-void
-InterNodeCache::saveState(ckpt::Encoder &e) const
-{
-    cache_.saveState(e);
-    ckpt::putAccessStats(e, stats_);
-}
-
-void
-InterNodeCache::loadState(ckpt::Decoder &d)
-{
-    Cache cache = cache_;
-    cache.loadState(d);
-    AccessStats stats;
-    ckpt::getAccessStats(d, stats);
-    if (d.failed())
-        return;
-    cache_ = std::move(cache);
-    stats_ = stats;
 }
 
 } // namespace memwall

@@ -59,9 +59,6 @@ class InterNodeCache
     /** Usable data capacity in bytes (7/16 of each column). */
     std::uint64_t dataCapacity() const;
 
-    void saveState(ckpt::Encoder &e) const;
-    void loadState(ckpt::Decoder &d);
-
   private:
     IncConfig config_;
     Cache cache_;

@@ -1,9 +1,7 @@
 #include "coherence/numa.hh"
 
 #include <algorithm>
-#include <utility>
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -97,23 +95,6 @@ NumaMachine::homeOf(Addr addr) const
     return static_cast<unsigned>(page % config_.nodes);
 }
 
-unsigned
-NumaMachine::resolveHome(Addr addr, unsigned toucher)
-{
-    const std::uint64_t page = pageOf(addr);
-    auto it = pages_.find(page);
-    if (it == pages_.end()) {
-        const unsigned home = config_.first_touch
-            ? toucher
-            : static_cast<unsigned>(page % config_.nodes);
-        it = pages_
-                 .emplace(page,
-                          PagePlacement{home, frames_used_[home]++})
-                 .first;
-    }
-    return it->second.home;
-}
-
 Addr
 NumaMachine::cacheView(unsigned node, Addr addr) const
 {
@@ -187,22 +168,6 @@ NumaMachine::nodeStats(unsigned cpu) const
 {
     MW_ASSERT(cpu < nodes_.size(), "bad cpu id");
     return nodes_[cpu].stats;
-}
-
-bool
-NumaMachine::nodeHolds(unsigned node, Addr block) const
-{
-    const Node &n = nodes_[node];
-    const Addr view = cacheView(node, block);
-    switch (config_.arch) {
-      case NodeArch::Integrated:
-        return n.columns->probe(view) || n.inc->probe(block);
-      case NodeArch::SimpleComa:
-        return n.attraction.contains(block);
-      case NodeArch::ReferenceCcNuma:
-        break;
-    }
-    return n.flc->probe(view) || n.slc.contains(block);
 }
 
 void
@@ -593,252 +558,6 @@ NumaMachine::totalInvalidations() const
     for (const auto &node : nodes_)
         total += node.stats.invalidations.value();
     return total;
-}
-
-namespace {
-
-/** Emit an unordered set of addresses as a sorted list. */
-void
-putAddrSet(ckpt::Encoder &e, const std::unordered_set<Addr> &set)
-{
-    std::vector<Addr> sorted(set.begin(), set.end());
-    std::sort(sorted.begin(), sorted.end());
-    e.varint(sorted.size());
-    for (const Addr a : sorted)
-        e.varint(a);
-}
-
-/** Decode a strictly increasing address list back into a set. */
-void
-getAddrSet(ckpt::Decoder &d, std::unordered_set<Addr> &set,
-           const char *what)
-{
-    const std::uint64_t count = d.varint();
-    std::unordered_set<Addr> out;
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < count && d.ok(); ++i) {
-        const Addr a = d.varint();
-        if (i > 0 && a <= prev) {
-            d.fail(what);
-            return;
-        }
-        prev = a;
-        out.insert(a);
-    }
-    if (d.ok())
-        set = std::move(out);
-}
-
-void
-putNodeStats(ckpt::Encoder &e, const NodeStats &s)
-{
-    ckpt::putCounter(e, s.cache_hits);
-    ckpt::putCounter(e, s.local_mem);
-    ckpt::putCounter(e, s.inc_hits);
-    ckpt::putCounter(e, s.remote_loads);
-    ckpt::putCounter(e, s.invalidations);
-    ckpt::putCounter(e, s.total);
-}
-
-void
-getNodeStats(ckpt::Decoder &d, NodeStats &s)
-{
-    ckpt::getCounter(d, s.cache_hits);
-    ckpt::getCounter(d, s.local_mem);
-    ckpt::getCounter(d, s.inc_hits);
-    ckpt::getCounter(d, s.remote_loads);
-    ckpt::getCounter(d, s.invalidations);
-    ckpt::getCounter(d, s.total);
-}
-
-} // namespace
-
-void
-NumaMachine::saveState(ckpt::Encoder &e) const
-{
-    MW_ASSERT(!fabric_,
-              "fabric-contention runs are not checkpointable: the "
-              "link clocks are not captured");
-    e.varint(config_.nodes);
-    e.u8(static_cast<std::uint8_t>(config_.arch));
-    e.u8(config_.victim_cache ? 1 : 0);
-    e.varint(config_.page_bytes);
-    e.u8(config_.first_touch ? 1 : 0);
-
-    directory_.saveState(e);
-    e.varint(mutated_transitions_);
-    ckpt::putRng(e, proto_rng_);
-    ckpt::putCounter(e, nacks_);
-    ckpt::putCounter(e, retries_);
-    ckpt::putCounter(e, proto_failures_);
-    e.u8(static_cast<std::uint8_t>(last_service_));
-
-    std::vector<std::pair<std::uint64_t, PagePlacement>> pages(
-        pages_.begin(), pages_.end());
-    std::sort(pages.begin(), pages.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    e.varint(pages.size());
-    for (const auto &[page, place] : pages) {
-        e.varint(page);
-        e.varint(place.home);
-        e.varint(place.local_frame);
-    }
-    for (const std::uint64_t used : frames_used_)
-        e.varint(used);
-
-    for (const Node &node : nodes_) {
-        switch (config_.arch) {
-          case NodeArch::Integrated:
-            node.columns->saveState(e);
-            node.inc->saveState(e);
-            break;
-          case NodeArch::SimpleComa: {
-            node.columns->saveState(e);
-            putAddrSet(e, node.attraction);
-            std::vector<std::pair<std::uint64_t, std::uint64_t>>
-                frames(node.frames.begin(), node.frames.end());
-            std::sort(frames.begin(), frames.end());
-            e.varint(frames.size());
-            for (const auto &[page, frame] : frames) {
-                e.varint(page);
-                e.varint(frame);
-            }
-            e.varint(node.next_frame);
-            break;
-          }
-          case NodeArch::ReferenceCcNuma:
-            node.flc->saveState(e);
-            putAddrSet(e, node.slc);
-            break;
-        }
-        putNodeStats(e, node.stats);
-    }
-}
-
-void
-NumaMachine::loadState(ckpt::Decoder &d)
-{
-    if (fabric_) {
-        d.fail("numa machine: fabric-contention runs are not "
-               "checkpointable");
-        return;
-    }
-    const std::uint64_t nodes = d.varint();
-    const std::uint8_t arch = d.u8();
-    const std::uint8_t victim = d.u8();
-    const std::uint64_t page_bytes = d.varint();
-    const std::uint8_t first_touch = d.u8();
-    if (d.failed())
-        return;
-    if (nodes != config_.nodes ||
-        arch != static_cast<std::uint8_t>(config_.arch) ||
-        victim != (config_.victim_cache ? 1 : 0) ||
-        page_bytes != config_.page_bytes ||
-        first_touch != (config_.first_touch ? 1 : 0)) {
-        d.fail("numa machine: checkpoint topology mismatch");
-        return;
-    }
-
-    Directory directory = directory_;
-    directory.loadState(d);
-    const std::uint64_t mutated = d.varint();
-    Rng rng = proto_rng_;
-    ckpt::getRng(d, rng);
-    Counter nacks, retries, failures;
-    ckpt::getCounter(d, nacks);
-    ckpt::getCounter(d, retries);
-    ckpt::getCounter(d, failures);
-    const std::uint8_t service = d.u8();
-    if (d.ok() &&
-        service >
-            static_cast<std::uint8_t>(ServiceLevel::Invalidation))
-        d.fail("numa machine: invalid service level");
-
-    const std::uint64_t npages = d.varint();
-    std::unordered_map<std::uint64_t, PagePlacement> pages;
-    std::uint64_t prev_page = 0;
-    for (std::uint64_t i = 0; i < npages && d.ok(); ++i) {
-        const std::uint64_t page = d.varint();
-        const std::uint64_t home = d.varint();
-        const std::uint64_t frame = d.varint();
-        if ((i > 0 && page <= prev_page) || home >= config_.nodes) {
-            d.fail("numa machine: malformed page placement");
-            return;
-        }
-        prev_page = page;
-        pages.emplace(page,
-                      PagePlacement{static_cast<unsigned>(home),
-                                    frame});
-    }
-    std::vector<std::uint64_t> frames_used(frames_used_.size());
-    for (std::uint64_t &used : frames_used)
-        used = d.varint();
-    if (d.failed())
-        return;
-
-    std::vector<Node> restored(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const Node &cur = nodes_[i];
-        Node &node = restored[i];
-        switch (config_.arch) {
-          case NodeArch::Integrated:
-            node.columns =
-                std::make_unique<ColumnDataCache>(*cur.columns);
-            node.columns->loadState(d);
-            node.inc =
-                std::make_unique<InterNodeCache>(*cur.inc);
-            node.inc->loadState(d);
-            break;
-          case NodeArch::SimpleComa: {
-            node.columns =
-                std::make_unique<ColumnDataCache>(*cur.columns);
-            node.columns->loadState(d);
-            getAddrSet(d, node.attraction,
-                       "numa machine: malformed attraction set");
-            const std::uint64_t nframes = d.varint();
-            std::uint64_t prev = 0;
-            for (std::uint64_t f = 0; f < nframes && d.ok(); ++f) {
-                const std::uint64_t page = d.varint();
-                const std::uint64_t frame = d.varint();
-                if (f > 0 && page <= prev) {
-                    d.fail("numa machine: malformed frame map");
-                    return;
-                }
-                prev = page;
-                node.frames.emplace(page, frame);
-            }
-            node.next_frame = d.varint();
-            break;
-          }
-          case NodeArch::ReferenceCcNuma:
-            node.flc = std::make_unique<Cache>(*cur.flc);
-            node.flc->loadState(d);
-            getAddrSet(d, node.slc,
-                       "numa machine: malformed slc set");
-            break;
-        }
-        getNodeStats(d, node.stats);
-        if (d.failed())
-            return;
-    }
-
-    directory_ = std::move(directory);
-    mutated_transitions_ = mutated;
-    proto_rng_ = rng;
-    nacks_ = nacks;
-    retries_ = retries;
-    proto_failures_ = failures;
-    last_service_ = static_cast<ServiceLevel>(service);
-    pages_ = std::move(pages);
-    frames_used_ = std::move(frames_used);
-    nodes_ = std::move(restored);
-    // The memos cache raw pointers into the replaced containers.
-    memo_page_ = ~std::uint64_t{0};
-    memo_place_ = nullptr;
-    memo_block_ = ~Addr{0};
-    memo_entry_ = nullptr;
 }
 
 } // namespace memwall

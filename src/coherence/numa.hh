@@ -249,16 +249,6 @@ class NumaMachine
     /** The attached observer (null when verification is off). */
     ProtocolObserver *observer() const { return obs_; }
 
-    /**
-     * @return true iff @p node's cache structures actually hold
-     * @p addr's block right now (presence probe for the shadow
-     * checker and tests; counts no statistics).
-     */
-    bool holdsBlock(unsigned node, Addr addr) const
-    {
-        return nodeHolds(node, blockAddr(addr));
-    }
-
     /** Protocol transitions corrupted by the configured mutation. */
     std::uint64_t mutatedTransitions() const
     {
@@ -276,23 +266,6 @@ class NumaMachine
     {
         return proto_failures_.value();
     }
-
-    /**
-     * Serialize the full protocol state — directory, per-node cache
-     * structures (column/victim/INC or FLC + infinite SLC),
-     * Simple-COMA attraction sets and frame maps, page placements,
-     * per-node statistics, fault-model RNG and counters — behind a
-     * topology guard (nodes, arch, victim cache, page size,
-     * first-touch). Sets and maps are emitted in sorted order so the
-     * bytes are canonical. Fabric-contention mode is not
-     * checkpointable (the link clocks are not captured); saveState
-     * asserts it is off.
-     */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on any topology
-     * mismatch and invalidates the hot-path memos on success. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     struct Node
@@ -320,8 +293,6 @@ class NumaMachine
      */
     Addr cacheView(unsigned node, Addr addr) const;
 
-    /** @return true iff @p node's caches hold @p block. */
-    bool nodeHolds(unsigned node, Addr block) const;
     /** Fill @p block into @p node's local cache structures. */
     void fillLocal(unsigned node, Addr block, bool store);
     /** Remove @p block from @p node (invalidation). */
@@ -329,9 +300,6 @@ class NumaMachine
     /** Invalidate every copy except @p keep's. */
     void invalidateSharers(const DirEntry &entry, Addr block,
                            unsigned keep);
-
-    /** Assign (or look up) the home of @p addr's page. */
-    unsigned resolveHome(Addr addr, unsigned toucher);
 
     struct PagePlacement
     {
@@ -344,8 +312,9 @@ class NumaMachine
     Addr localView(const PagePlacement &p, Addr block) const;
 
     /**
-     * resolveHome() + cacheView() fused into one pages_ lookup —
-     * the access hot path calls both back to back.
+     * Home of @p addr's page, placing the page on its first access
+     * (by @p toucher), with @p toucher's cacheView() of @p addr in
+     * @p view: one pages_ lookup for the access hot path.
      */
     unsigned resolveHomeAndView(Addr addr, unsigned toucher,
                                 Addr &view);

@@ -1,6 +1,5 @@
 #include "io/refresh.hh"
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -55,38 +54,6 @@ RefreshAgent::overheadFraction(const DramConfig &dram) const
     const double busy = static_cast<double>(dram.access_cycles +
                                             dram.precharge_cycles);
     return busy / (interval_ * banks_);
-}
-
-void
-RefreshAgent::saveState(ckpt::Encoder &e) const
-{
-    e.varint(banks_);
-    e.varint(config_.rows_per_bank);
-    e.f64(next_due_);
-    e.varint(rotor_);
-    ckpt::putCounter(e, issued_);
-}
-
-void
-RefreshAgent::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t banks = d.varint();
-    const std::uint64_t rows = d.varint();
-    if (d.failed())
-        return;
-    if (banks != banks_ || rows != config_.rows_per_bank) {
-        d.fail("refresh agent: checkpoint geometry mismatch");
-        return;
-    }
-    const double next_due = d.f64();
-    const std::uint64_t rotor = d.varint();
-    Counter issued;
-    ckpt::getCounter(d, issued);
-    if (d.failed())
-        return;
-    next_due_ = next_due;
-    rotor_ = rotor;
-    issued_ = issued;
 }
 
 } // namespace memwall

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "checkpoint/codec.hh"
 #include "common/stats.hh"
 #include "mem/dram.hh"
 
@@ -33,12 +32,12 @@ struct RefreshConfig
     double clock_mhz = 200.0;
     /**
      * Cap on refreshes issued by a single drainUpTo() call. A caller
-     * that jumps far ahead in time (a simulator fast-forward, a
-     * resumed checkpoint) would otherwise spin the drain loop for
-     * millions of iterations; capped, the deficit carries forward and
-     * subsequent calls catch up incrementally. 64 Ki refreshes cover
-     * a ~6.4 M-cycle jump at the default rate — far beyond anything
-     * the normal per-access drain cadence produces.
+     * that jumps far ahead in time (a simulator fast-forward) would
+     * otherwise spin the drain loop for millions of iterations;
+     * capped, the deficit carries forward and subsequent calls catch
+     * up incrementally. 64 Ki refreshes cover a ~6.4 M-cycle jump at
+     * the default rate — far beyond anything the normal per-access
+     * drain cadence produces.
      */
     std::uint32_t max_per_call = 64 * 1024;
 };
@@ -85,12 +84,6 @@ class RefreshAgent
 
     /** Fraction of total bank time refresh consumes (analytic). */
     double overheadFraction(const DramConfig &dram) const;
-
-    /** Serialize the refresh cursor (due time, rotor, counter). */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     RefreshConfig config_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -96,50 +95,6 @@ Dram::resetStats()
     std::fill(busy_cycles_.begin(), busy_cycles_.end(), 0);
     accesses_.reset();
     queued_.reset();
-}
-
-void
-Dram::saveState(ckpt::Encoder &e) const
-{
-    e.varint(config_.banks);
-    e.varint(config_.column_bytes);
-    for (const Tick t : ready_at_)
-        e.varint(t);
-    for (const std::uint64_t busy : busy_cycles_)
-        e.varint(busy);
-    ckpt::putCounter(e, accesses_);
-    ckpt::putCounter(e, queued_);
-}
-
-void
-Dram::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t banks = d.varint();
-    const std::uint64_t column_bytes = d.varint();
-    if (d.failed())
-        return;
-    if (banks != config_.banks ||
-        column_bytes != config_.column_bytes) {
-        d.fail("dram '" + config_.name +
-               "': checkpoint geometry mismatch");
-        return;
-    }
-    std::vector<Tick> ready(ready_at_.size());
-    std::vector<std::uint64_t> busy(busy_cycles_.size());
-    for (Tick &t : ready)
-        t = d.varint();
-    for (std::uint64_t &b : busy)
-        b = d.varint();
-    Counter accesses;
-    Counter queued;
-    ckpt::getCounter(d, accesses);
-    ckpt::getCounter(d, queued);
-    if (d.failed())
-        return;
-    ready_at_ = std::move(ready);
-    busy_cycles_ = std::move(busy);
-    accesses_ = accesses;
-    queued_ = queued;
 }
 
 } // namespace memwall

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -98,12 +97,6 @@ class Dram
     const DramConfig &config() const { return config_; }
 
     void resetStats();
-
-    /** Serialize per-bank ready/busy state and the counters. */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     DramConfig config_;

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "checkpoint/codec.hh"
+
 namespace memwall {
 
 bool
@@ -224,61 +226,6 @@ samplingPlanHash(const SamplingPlan &plan)
     h = mixDouble(h, plan.level);
     h = fnvMix(h, plan.seed);
     return h;
-}
-
-void
-SystematicCursor::saveState(ckpt::Encoder &e) const
-{
-    e.varint(unit_);
-    e.varint(warm_);
-    e.varint(ff_);
-    e.u8(static_cast<std::uint8_t>(mode_));
-    e.varint(remaining_);
-    e.varint(units_done_);
-    e.u8(unit_completed_ ? 1 : 0);
-}
-
-void
-SystematicCursor::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t unit = d.varint();
-    const std::uint64_t warm = d.varint();
-    const std::uint64_t ff = d.varint();
-    if (d.failed())
-        return;
-    if (unit != unit_ || warm != warm_ || ff != ff_) {
-        d.fail("sampling cursor: plan phase lengths mismatch");
-        return;
-    }
-    const std::uint8_t mode = d.u8();
-    const std::uint64_t remaining = d.varint();
-    const std::uint64_t units_done = d.varint();
-    const std::uint8_t completed = d.u8();
-    if (d.failed())
-        return;
-    if (mode > static_cast<std::uint8_t>(SampleMode::Detail) ||
-        completed > 1) {
-        d.fail("sampling cursor: invalid mode flags");
-        return;
-    }
-    mode_ = static_cast<SampleMode>(mode);
-    remaining_ = remaining;
-    units_done_ = units_done;
-    unit_completed_ = completed != 0;
-}
-
-const char *
-sampleModeName(SampleMode mode)
-{
-    switch (mode) {
-    case SampleMode::FastForward:
-        return "fast-forward";
-    case SampleMode::Warm:
-        return "warm";
-    case SampleMode::Detail:
-        return "detail";
-    }
-    return "?";
 }
 
 } // namespace memwall

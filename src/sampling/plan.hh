@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <string>
 
-#include "checkpoint/codec.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -151,12 +150,6 @@ class SystematicCursor
      */
     bool unitJustCompleted() const { return unit_completed_; }
 
-    /** Serialize the schedule position (phase lengths as a guard). */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on plan mismatch. */
-    void loadState(ckpt::Decoder &d);
-
   private:
     void enterPhase(SampleMode mode, std::uint64_t len);
     /** Phase-transition tail of advance() (cold path). */
@@ -170,9 +163,6 @@ class SystematicCursor
     std::uint64_t units_done_ = 0;
     bool unit_completed_ = false;
 };
-
-/** Decoded mode name ("fast-forward", "warm", "detail"). */
-const char *sampleModeName(SampleMode mode);
 
 } // namespace memwall
 

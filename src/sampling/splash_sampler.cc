@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "checkpoint/state_io.hh"
-
 namespace memwall {
 
 namespace {
@@ -44,7 +42,6 @@ SplashSampler::access(NumaMachine &machine, SimContext &ctx,
         const Cycles lat =
             machine.access(ctx.cpuId(), addr, store, ctx.now());
         ++detail_;
-        detail_cycles_ += lat;
         unit_cycles_ += lat;
         ++unit_count_;
         ctx.advance(lat);
@@ -112,88 +109,6 @@ SplashSampler::setFastForwardQuantum(SimContext &ctx, bool ff)
     ctx.scheduler().setQuantum(
         ff ? std::max<Tick>(normal_quantum_, 1) * ff_quantum_scale
            : normal_quantum_);
-}
-
-double
-SplashSampler::detailMeanLatency() const
-{
-    if (detail_ == 0)
-        return 0.0;
-    return static_cast<double>(detail_cycles_) /
-           static_cast<double>(detail_);
-}
-
-void
-SplashSampler::saveState(ckpt::Encoder &e) const
-{
-    e.u64(samplingPlanHash(plan_));
-    e.varint(pending_.size());
-    e.varint(normal_quantum_);
-    cursor_.saveState(e);
-    e.u8((stopped_ ? 1u : 0u) | (quantum_inflated_ ? 2u : 0u));
-    for (const Pending &p : pending_) {
-        e.varint(p.cycles);
-        e.varint(p.accesses);
-    }
-    e.varint(unit_cycles_);
-    e.varint(unit_count_);
-    e.varint(detail_cycles_);
-    ckpt::putSampleStat(e, unit_means_);
-    e.varint(detail_);
-    e.varint(warm_);
-    e.varint(ff_);
-}
-
-void
-SplashSampler::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t hash = d.u64();
-    const std::uint64_t ncpus = d.varint();
-    const std::uint64_t quantum = d.varint();
-    if (d.failed())
-        return;
-    if (hash != samplingPlanHash(plan_) ||
-        ncpus != pending_.size() || quantum != normal_quantum_) {
-        d.fail("splash sampler: checkpoint plan/topology mismatch");
-        return;
-    }
-
-    SystematicCursor cursor = cursor_;
-    cursor.loadState(d);
-    const std::uint8_t flags = d.u8();
-    if (d.failed())
-        return;
-    if (flags > 3) {
-        d.fail("splash sampler: invalid flags");
-        return;
-    }
-    std::vector<Pending> pending(pending_.size());
-    for (Pending &p : pending) {
-        p.cycles = d.varint();
-        p.accesses = static_cast<std::uint32_t>(d.varint());
-    }
-    const std::uint64_t unit_cycles = d.varint();
-    const std::uint64_t unit_count = d.varint();
-    const std::uint64_t detail_cycles = d.varint();
-    SampleStat unit_means;
-    ckpt::getSampleStat(d, unit_means);
-    const std::uint64_t detail = d.varint();
-    const std::uint64_t warm = d.varint();
-    const std::uint64_t ff = d.varint();
-    if (d.failed())
-        return;
-
-    cursor_ = cursor;
-    stopped_ = (flags & 1u) != 0;
-    quantum_inflated_ = (flags & 2u) != 0;
-    pending_ = std::move(pending);
-    unit_cycles_ = unit_cycles;
-    unit_count_ = unit_count;
-    detail_cycles_ = detail_cycles;
-    unit_means_ = unit_means;
-    detail_ = detail;
-    warm_ = warm;
-    ff_ = ff;
 }
 
 } // namespace memwall

@@ -69,10 +69,6 @@ class SplashSampler : public AccessSampler
         return confidenceInterval(unit_means_, plan_.level);
     }
 
-    /** Exact mean over all detailed accesses (all-detail plans make
-     * this the full-run reference value). */
-    double detailMeanLatency() const;
-
     std::uint64_t detailAccesses() const { return detail_; }
     std::uint64_t warmAccesses() const { return warm_; }
     std::uint64_t ffAccesses() const { return ff_; }
@@ -81,19 +77,6 @@ class SplashSampler : public AccessSampler
     bool stopped() const { return stopped_; }
 
     const SamplingPlan &plan() const { return plan_; }
-
-    /**
-     * Serialize the warming/measurement state (cursor position,
-     * batched fast-forward cycles, unit accumulators, unit means)
-     * behind a plan-hash guard. The scheduler quantum is NOT part of
-     * the sampler; after a successful loadState() the caller must
-     * re-apply the inflated quantum if quantum was inflated (the
-     * sampler re-applies it lazily on the next mode change).
-     */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on plan mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     /** Advance the schedule by one access from mode @p before. */
@@ -137,8 +120,7 @@ class SplashSampler : public AccessSampler
     // Current-unit accumulator.
     std::uint64_t unit_cycles_ = 0;
     std::uint64_t unit_count_ = 0;
-    // Totals over all detailed accesses.
-    std::uint64_t detail_cycles_ = 0;
+
     SampleStat unit_means_;
 
     std::uint64_t detail_ = 0;
