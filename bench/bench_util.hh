@@ -25,11 +25,13 @@
 #define MEMWALL_BENCH_BENCH_UTIL_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -271,23 +273,46 @@ splitList(const std::string &list)
     return out;
 }
 
-/** Parse a comma-separated list of unsigned integers. */
+/**
+ * Parse @p list, the value of @p flag, as comma-separated unsigned
+ * integers, each item whole as parseU64Flag() does.
+ */
 inline std::vector<std::uint64_t>
-parseU64List(const std::string &list)
+parseU64List(const std::string &list, const char *flag,
+             const char *prog,
+             std::initializer_list<const char *> extra_flags)
 {
     std::vector<std::uint64_t> out;
     for (const std::string &item : splitList(list))
-        out.push_back(std::strtoull(item.c_str(), nullptr, 0));
+        out.push_back(
+            parseU64Flag(item.c_str(), flag, prog, extra_flags));
     return out;
 }
 
-/** Parse a comma-separated list of doubles ("0,1e-6,5e-5"). */
+/**
+ * Parse @p list, the value of @p flag, as comma-separated doubles
+ * ("0,1e-6,5e-5"). Each item must be a whole, finite number in
+ * [0, @p max]; anything else is a usage error naming the flag and
+ * the item.
+ */
 inline std::vector<double>
-parseDoubleList(const std::string &list)
+parseDoubleList(const std::string &list, const char *flag,
+                const char *prog,
+                std::initializer_list<const char *> extra_flags,
+                double max = std::numeric_limits<double>::max())
 {
     std::vector<double> out;
-    for (const std::string &item : splitList(list))
-        out.push_back(std::strtod(item.c_str(), nullptr));
+    for (const std::string &item : splitList(list)) {
+        const char *text = item.c_str();
+        char *end = nullptr;
+        errno = 0;
+        const double value = std::strtod(text, &end);
+        if (end == text || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(value) || value < 0.0 || value > max)
+            usageError(prog, extra_flags,
+                       "invalid value '" + item + "' for " + flag);
+        out.push_back(value);
+    }
     return out;
 }
 

@@ -12,9 +12,9 @@
  *                  journal keyed by the run (a killed run rerun with
  *                  the same flags replays its committed points to
  *                  byte-identical output); --ckpt-dir DIR, per-unit
- *                  warm-state checkpoints for stratified sampled
- *                  plans (missing or corrupt files degrade to
- *                  functional warming);
+ *                  warm-state checkpoints, only with a stratified
+ *                  --sample plan (missing or corrupt files degrade
+ *                  to functional warming);
  *   fig13..fig17   --sample PLAN; --nodes N, one processor count.
  * A flag the experiment does not read is a usage error (exit 2), by
  * the rule mw-server applies to the same request field.
@@ -65,8 +65,6 @@ runCatalogBench(server::Experiment exp, const std::string &title,
             ? splash_flags
             : std::initializer_list<const char *>{};
     const Options opt = parse(argc, argv, flags);
-    const std::string ckpt_dir = checkpointDirFlag(opt, prog, flags);
-    const std::string resume_path = resumePathFlag(opt, prog, flags);
     server::RunRequest req;
     req.experiment = exp;
     req.quick = opt.quick;
@@ -74,9 +72,21 @@ runCatalogBench(server::Experiment exp, const std::string &title,
     req.seed = opt.seed;
     const std::string sample = opt.extraOr("--sample", "");
     if (!sample.empty()) {
+        std::string why;
+        if (!tryParseSamplingPlan(sample, req.sample, &why))
+            usageError(prog, flags, why);
         req.has_sample = true;
-        req.sample = parseSamplingPlan(sample);
     }
+    // Only a stratified plan reads the store; refuse the flag before
+    // checkpointDirFlag() creates the directory.
+    if (opt.extra.count("--ckpt-dir") != 0 &&
+        (!req.has_sample ||
+         req.sample.scheme != SampleScheme::Stratified))
+        usageError(prog, flags,
+                   "--ckpt-dir needs a stratified --sample plan "
+                   "(mode=strat)");
+    const std::string ckpt_dir = checkpointDirFlag(opt, prog, flags);
+    const std::string resume_path = resumePathFlag(opt, prog, flags);
     const std::string nodes = opt.extraOr("--nodes", "");
     if (!nodes.empty()) {
         req.nodes = parseU64Flag(nodes.c_str(), "--nodes", prog, flags);

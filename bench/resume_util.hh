@@ -64,9 +64,8 @@ printStoreCounters(const ckpt::CheckpointStore &store)
 }
 
 /**
- * Build the per-unit checkpoint store for a sampled run, or null
- * when --ckpt-dir was not given. Only stratified plans are
- * accelerated; other plans get a warning and no store.
+ * Build the per-unit checkpoint store for a stratified sampled run,
+ * or null when --ckpt-dir was not given.
  */
 inline std::unique_ptr<ckpt::CheckpointStore>
 makeMissRateStore(const std::string &ckpt_dir,
@@ -74,11 +73,6 @@ makeMissRateStore(const std::string &ckpt_dir,
 {
     if (ckpt_dir.empty())
         return nullptr;
-    if (plan.scheme != SampleScheme::Stratified) {
-        MW_WARN("--ckpt-dir only accelerates stratified plans "
-                "(mode=strat); ignoring it");
-        return nullptr;
-    }
     return std::make_unique<ckpt::CheckpointStore>(
         ckpt_dir, ckpt::fnvMix(ckpt::fnv1a64("missrate-sampled"),
                                samplingPlanHash(plan)));

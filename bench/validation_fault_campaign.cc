@@ -147,18 +147,23 @@ printJson(const CampaignConfig &base, bool clean_ok,
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv,
-                                {"--rates", "--bers", "--nacks"});
+    const std::initializer_list<const char *> flags = {
+        "--rates", "--bers", "--nacks"};
+    auto opt = benchutil::parse(argc, argv, flags);
     if (!opt.json())
         benchutil::banner("Validation - seeded fault campaigns",
                           opt);
 
+    // Bit-error and NACK rates are probabilities: at most 1.
     const auto rates = benchutil::parseDoubleList(
-        opt.extraOr("--rates", "0,10,50,200,1000"));
+        opt.extraOr("--rates", "0,10,50,200,1000"), "--rates", argv[0],
+        flags);
     const auto bers = benchutil::parseDoubleList(
-        opt.extraOr("--bers", "0,1e-7,1e-6,1e-5"));
+        opt.extraOr("--bers", "0,1e-7,1e-6,1e-5"), "--bers", argv[0],
+        flags, 1.0);
     const auto nacks = benchutil::parseDoubleList(
-        opt.extraOr("--nacks", "0,0.01,0.05,0.2"));
+        opt.extraOr("--nacks", "0,0.01,0.05,0.2"), "--nacks", argv[0],
+        flags, 1.0);
 
     // ---- Self-check 1: zero-fault runs are bit-for-bit clean ------
     CampaignConfig zero_cfg = baseConfig(opt);

@@ -24,7 +24,8 @@ using namespace memwall::cachelabels;
 int
 main(int argc, char **argv)
 {
-    auto opt = benchutil::parse(argc, argv, {"--reseeds"});
+    const std::initializer_list<const char *> flags = {"--reseeds"};
+    auto opt = benchutil::parse(argc, argv, flags);
     benchutil::banner("Validation - proxy-seed robustness", opt);
 
     MissRateParams params;
@@ -34,9 +35,9 @@ main(int argc, char **argv)
     params.warmup_refs = params.measured_refs / 4;
 
     // Seed deltas to sweep; override with --reseeds 0,777,31415,...
-    const std::vector<std::uint64_t> reseeds =
-        benchutil::parseU64List(
-            opt.extraOr("--reseeds", "0,777,31415,2718281"));
+    const std::vector<std::uint64_t> reseeds = benchutil::parseU64List(
+        opt.extraOr("--reseeds", "0,777,31415,2718281"), "--reseeds",
+        argv[0], flags);
 
     TextTable table("Key Figure 7/8 quantities across four proxy "
                     "seeds (min .. max)");

@@ -160,6 +160,40 @@ TEST(BenchUtilDeathTest, SplashFigureRejectsRefs)
                 "\"refs\" does not apply to experiment \"fig13\"");
 }
 
+TEST(BenchUtilDeathTest, CkptDirWithoutStratifiedPlanIsUsageError)
+{
+    // Only a stratified --sample plan reads the checkpoint store;
+    // without one the flag is refused before the directory exists.
+    const std::string dir =
+        ::testing::TempDir() + "benchutil-unused-ckpt-dir";
+    ::rmdir(dir.c_str());
+    Argv bare{"fig7_icache_miss", "--quick", "--ckpt-dir", dir.c_str()};
+    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig7, "",
+                                           bare.argc(), bare.argv(),
+                                           nullptr),
+                testing::ExitedWithCode(2),
+                "--ckpt-dir needs a stratified --sample plan");
+    Argv sys{"fig7_icache_miss", "--quick", "--sample",
+             "U=500,W=1000,k=20", "--ckpt-dir", dir.c_str()};
+    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig7, "",
+                                           sys.argc(), sys.argv(),
+                                           nullptr),
+                testing::ExitedWithCode(2),
+                "--ckpt-dir needs a stratified --sample plan");
+    struct stat st;
+    EXPECT_NE(::stat(dir.c_str(), &st), 0);
+}
+
+TEST(BenchUtilDeathTest, MalformedSamplePlanIsUsageError)
+{
+    // The text mw-server answers with bad_param exits 2, not abort.
+    Argv a{"fig8_dcache_miss", "--quick", "--sample", "garbage"};
+    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig8, "",
+                                           a.argc(), a.argv(), nullptr),
+                testing::ExitedWithCode(2),
+                "--sample: malformed item 'garbage'");
+}
+
 TEST(BenchUtil, SplitListBasic)
 {
     const auto parts = benchutil::splitList("1,2,3");
@@ -183,17 +217,61 @@ TEST(BenchUtil, SplitListSingleAndEmpty)
 
 TEST(BenchUtil, ParseU64List)
 {
-    EXPECT_EQ(benchutil::parseU64List("0,777,0x10"),
+    EXPECT_EQ(benchutil::parseU64List("0,777,0x10", "--reseeds",
+                                      "bench", {"--reseeds"}),
               (std::vector<std::uint64_t>{0, 777, 16}));
 }
 
 TEST(BenchUtil, ParseDoubleList)
 {
-    const auto vals = benchutil::parseDoubleList("0,1e-6,2.5");
+    const auto vals = benchutil::parseDoubleList("0,1e-6,2.5", "--rates",
+                                                 "bench", {"--rates"});
     ASSERT_EQ(vals.size(), 3u);
     EXPECT_DOUBLE_EQ(vals[0], 0.0);
     EXPECT_DOUBLE_EQ(vals[1], 1e-6);
     EXPECT_DOUBLE_EQ(vals[2], 2.5);
+    EXPECT_EQ(benchutil::parseDoubleList("0,1", "--nacks", "bench",
+                                         {"--nacks"}, 1.0),
+              (std::vector<double>{0.0, 1.0}));
+}
+
+TEST(BenchUtilDeathTest, U64ListRejectsBadItems)
+{
+    // Each item parses whole: junk, an empty item and overflow used
+    // to become 0 silently.
+    struct Case
+    {
+        const char *list;
+        const char *item;
+    };
+    for (const Case c : {Case{"x", "x"}, Case{"0,7x", "7x"},
+                         Case{"1,,2", ""}, Case{"", ""}, Case{"1,", ""},
+                         Case{"99999999999999999999999",
+                              "99999999999999999999999"}})
+        EXPECT_EXIT(benchutil::parseU64List(c.list, "--reseeds", "bench",
+                                            {"--reseeds"}),
+                    testing::ExitedWithCode(2),
+                    std::string("invalid value '") + c.item +
+                        "' for --reseeds")
+            << c.list;
+}
+
+TEST(BenchUtilDeathTest, DoubleListRejectsBadItems)
+{
+    for (const char *item :
+         {"abc", "", "-3", "1e999", "inf", "nan", "0.5x"})
+        EXPECT_EXIT(benchutil::parseDoubleList(
+                        std::string("0,") + item, "--rates", "bench",
+                        {"--rates"}),
+                    testing::ExitedWithCode(2),
+                    std::string("invalid value '") + item +
+                        "' for --rates")
+            << item;
+    // Probabilities (the fault campaign's --bers, --nacks) stop at 1.
+    EXPECT_EXIT(benchutil::parseDoubleList("0.5,1.5", "--nacks", "bench",
+                                           {"--nacks"}, 1.0),
+                testing::ExitedWithCode(2),
+                "invalid value '1\\.5' for --nacks");
 }
 
 TEST(BenchUtilCkptFlagsDeath, EmptyCkptDirIsUsageError)
