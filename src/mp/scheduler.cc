@@ -1,190 +1,175 @@
 #include "mp/scheduler.hh"
 
 #include <algorithm>
+#include <exception>
 
-#include "common/logging.hh"
+#include "mp/fiber.hh"
 
 namespace memwall {
 
-void
-SimContext::advance(Cycles cycles)
+struct MpScheduler::Fibers
 {
-    sched_->advance(cpu_, cycles);
-}
+    using Context = fiber::Context<fiber::NativeSwitch>;
 
-Tick
-SimContext::now() const
-{
-    return sched_->timeOf(cpu_);
-}
+    struct Cpu
+    {
+        fiber::Stack stack;
+        Context context{stack};
+    };
+
+    std::unique_ptr<Cpu[]> cpus;
+    /** The thread inside run(), resumed when the fibers are done. */
+    Context *host = nullptr;
+};
 
 MpScheduler::MpScheduler(unsigned ncpus, Tick quantum)
-    : ncpus_(ncpus), quantum_(quantum), cvs_(ncpus),
-      time_(ncpus, 0), state_(ncpus, State::Finished)
+    : ncpus_(ncpus), quantum_(quantum), time_(ncpus, 0),
+      state_(ncpus, State::Finished), running_(ncpus), limit_(max_tick),
+      fibers_(std::make_unique<Fibers>())
 {
     MW_ASSERT(ncpus_ >= 1, "need at least one cpu");
+    fibers_->cpus = std::make_unique<Fibers::Cpu[]>(ncpus_);
 }
 
 MpScheduler::~MpScheduler() = default;
 
-int
-MpScheduler::minRunnable() const
+unsigned
+MpScheduler::lowestRunnable() const
 {
-    int best = -1;
+    unsigned best = ncpus_;
     for (unsigned i = 0; i < ncpus_; ++i) {
         if (state_[i] != State::Runnable)
             continue;
-        if (best < 0 || time_[i] < time_[best])
-            best = static_cast<int>(i);
+        if (best == ncpus_ || time_[i] < time_[best])
+            best = i;
     }
     return best;
 }
 
 void
-MpScheduler::transferToken()
+MpScheduler::refreshLimit()
 {
-    const int next = minRunnable();
-    running_cpu_ = next;
-    if (next >= 0)
-        cvs_[next].notify_one();
+    Tick lowest = max_tick;
+    for (unsigned i = 0; i < ncpus_; ++i)
+        if (i != running_ && state_[i] == State::Runnable)
+            lowest = std::min(lowest, time_[i]);
+    limit_ = lowest > max_tick - quantum_ ? max_tick : lowest + quantum_;
 }
 
 void
-MpScheduler::waitForToken(std::unique_lock<std::mutex> &lock,
-                          unsigned cpu)
+MpScheduler::switchTo(unsigned next)
 {
-    cvs_[cpu].wait(lock, [&] {
-        return running_cpu_ == static_cast<int>(cpu);
-    });
+    Fibers::Context &from = fibers_->cpus[running_].context;
+    running_ = next;
+    refreshLimit();
+    from.switchTo(fibers_->cpus[next].context);
 }
 
 void
-MpScheduler::advance(unsigned cpu, Cycles cycles)
+MpScheduler::yield()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    // The running CPU is past the limit, so a peer is lower.
+    switchTo(lowestRunnable());
+}
+
+void
+MpScheduler::notRunning(unsigned cpu, const char *what) const
+{
     MW_ASSERT(cpu < ncpus_, "bad cpu id");
-    MW_ASSERT(running_cpu_ == static_cast<int>(cpu),
-              "advance without the execution token");
-    time_[cpu] += cycles;
-
-    // Keep the token while within the skew quantum of the slowest
-    // runnable peer.
-    const int min = minRunnable();
-    if (min < 0 || min == static_cast<int>(cpu) ||
-        time_[cpu] <= time_[min] + quantum_)
-        return;
-    transferToken();
-    waitForToken(lock, cpu);
-}
-
-Tick
-MpScheduler::quantum() const
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    return quantum_;
+    MW_PANIC(what, " without the execution token (cpu ", cpu, ")");
 }
 
 void
 MpScheduler::setQuantum(Tick quantum)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
     quantum_ = quantum;
-}
-
-Tick
-MpScheduler::timeOf(unsigned cpu) const
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    MW_ASSERT(cpu < ncpus_, "bad cpu id");
-    return time_[cpu];
+    refreshLimit();
 }
 
 void
 MpScheduler::block(unsigned cpu)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    MW_ASSERT(running_cpu_ == static_cast<int>(cpu),
-              "block without the execution token");
+    if (cpu != running_)
+        notRunning(cpu, "block");
     state_[cpu] = State::Blocked;
-    if (minRunnable() < 0)
+    const unsigned next = lowestRunnable();
+    if (next == ncpus_)
         MW_PANIC("MP workload deadlock: cpu ", cpu,
                  " blocked and no peer is runnable");
-    transferToken();
-    // Wait until someone unblocks us AND the token reaches us.
-    cvs_[cpu].wait(lock, [&] {
-        return running_cpu_ == static_cast<int>(cpu) &&
-               state_[cpu] == State::Runnable;
-    });
+    switchTo(next);
 }
 
 void
 MpScheduler::unblock(unsigned cpu, Tick at)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
+    MW_ASSERT(cpu < ncpus_, "bad cpu id");
     MW_ASSERT(state_[cpu] == State::Blocked,
               "unblocking a cpu that is not blocked");
     time_[cpu] = std::max(time_[cpu], at);
     state_[cpu] = State::Runnable;
     // No token transfer: the caller continues; the woken CPU gets
     // the token at the caller's next yield point.
+    refreshLimit();
+}
+
+void
+MpScheduler::fiberEntry(void *sched)
+{
+    // run() and switchTo() make a CPU the running one before entering
+    // its fiber.
+    auto &self = *static_cast<MpScheduler *>(sched);
+    self.runCpu(self.running_);
+}
+
+void
+MpScheduler::runCpu(unsigned cpu)
+{
+    // Unwinding must stop here: above this frame is the fiber's
+    // trampoline.
+    try {
+        SimContext ctx(*this, cpu);
+        (*body_)(ctx);
+    } catch (const std::exception &e) {
+        MW_PANIC("cpu ", cpu, " body threw: ", e.what());
+    } catch (...) {
+        MW_PANIC("cpu ", cpu, " body threw a non-std::exception");
+    }
+    state_[cpu] = State::Finished;
+    running_ = lowestRunnable();
+    refreshLimit();
+    fibers_->cpus[cpu].context.exitTo(
+        running_ < ncpus_ ? fibers_->cpus[running_].context
+                          : *fibers_->host);
 }
 
 Tick
 MpScheduler::run(const std::function<void(SimContext &)> &body)
 {
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        MW_ASSERT(!running_, "scheduler already running");
-        running_ = true;
-        std::fill(time_.begin(), time_.end(), 0);
-        std::fill(state_.begin(), state_.end(), State::Runnable);
-        running_cpu_ = -1;
-    }
+    MW_ASSERT(!body_, "scheduler already running");
+    std::fill(time_.begin(), time_.end(), 0);
+    std::fill(state_.begin(), state_.end(), State::Runnable);
+    Fibers::Context host;
+    fibers_->host = &host;
+    body_ = &body;
+    for (unsigned cpu = 0; cpu < ncpus_; ++cpu)
+        fibers_->cpus[cpu].context.start(&MpScheduler::fiberEntry, this);
+    // Every clock reads 0, so CPU 0 is the lowest.
+    running_ = 0;
+    refreshLimit();
+    host.switchTo(fibers_->cpus[0].context);
 
-    std::vector<std::thread> threads;
-    threads.reserve(ncpus_);
-    for (unsigned cpu = 0; cpu < ncpus_; ++cpu) {
-        threads.emplace_back([this, cpu, &body] {
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                waitForToken(lock, cpu);
-            }
-            SimContext ctx(*this, cpu);
-            body(ctx);
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                state_[cpu] = State::Finished;
-                transferToken();
-            }
-        });
-    }
-    // Hand the token to the first CPU.
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        transferToken();
-    }
-    for (auto &t : threads)
-        t.join();
-
+    // Back on this thread: no CPU is runnable any more.
+    body_ = nullptr;
+    fibers_->host = nullptr;
     Tick makespan = 0;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        running_ = false;
-        for (unsigned i = 0; i < ncpus_; ++i) {
-            MW_ASSERT(state_[i] == State::Finished,
-                      "cpu ", i, " did not finish");
-            makespan = std::max(makespan, time_[i]);
-        }
+    for (unsigned i = 0; i < ncpus_; ++i) {
+        if (state_[i] == State::Blocked)
+            MW_PANIC("MP workload deadlock: cpu ", i,
+                     " is still blocked after the last runnable cpu "
+                     "finished");
+        makespan = std::max(makespan, time_[i]);
     }
     return makespan;
-}
-
-Tick
-MpScheduler::cpuTime(unsigned cpu) const
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    MW_ASSERT(cpu < ncpus_, "bad cpu id");
-    return time_[cpu];
 }
 
 } // namespace memwall

@@ -19,9 +19,9 @@
  *   Fast-forward  coarse scheduling, no statistics. The simulated
  *                 time of a batch of accesses is charged to the
  *                 scheduler in one advance, and the skew quantum is
- *                 moderately inflated, so token hand-offs — the
- *                 dominant host cost of the execution-driven model —
- *                 become rare.
+ *                 moderately inflated, so token hand-offs become
+ *                 rare (see Pending for why that matters less on
+ *                 fibers).
  *
  * Coarse scheduling perturbs only the interleaving (every access
  * still reaches the caches, directory and INC), and the warm window
@@ -102,13 +102,15 @@ class SplashSampler : public AccessSampler
 
     /**
      * Fast-forwarded simulated time is charged to the scheduler in
-     * batches: every scheduler advance takes the scheduler mutex and
-     * scans for the minimum-time peer, which would otherwise be the
-     * dominant host cost of a fast-forward stretch. The skew a batch
-     * introduces is bounded (ff_flush_accesses * the access latency)
-     * and fast-forward interleaving is coarse by design; detail and
-     * warm accesses always flush first, so their machine timing sees
-     * the exact clock.
+     * batches. The batching was sized when every scheduler advance
+     * took a mutex and scanned for the minimum-time peer; on fibers an
+     * advance is an add and a compare, so it saves little now, but
+     * ff_flush_accesses and the quantum inflation stay because the
+     * sampled goldens depend on them. The skew a batch introduces is
+     * bounded (ff_flush_accesses * the access latency) and
+     * fast-forward interleaving is coarse by design; detail and warm
+     * accesses always flush first, so their machine timing sees the
+     * exact clock.
      */
     struct Pending
     {
