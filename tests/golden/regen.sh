@@ -1,8 +1,10 @@
 #!/bin/sh
 # Committed quick-mode goldens under tests/golden/: text and
 # --format json of the ten catalog benches (Figs 7/8, Tables 1/3/4,
-# Figs 13-17) plus two sampled JSON plans in catalog/, and the JSON
-# of the sampled-simulation crosscheck and the fault campaign.
+# Figs 13-17) plus two sampled JSON plans in catalog/, the JSON of
+# the sampled-simulation crosscheck and the fault campaign, and the
+# text of the four CC-NUMA ablations (Simple-COMA, fabric contention,
+# INC capacity and INC associativity).
 #
 #   tests/golden/regen.sh [BENCH_DIR]
 #       rewrite every golden from the binaries in BENCH_DIR
@@ -34,6 +36,12 @@ manifest() {
          "validation_sampling_crosscheck --quick --format json"
     echo "fault_campaign_quick.json validation_fault_campaign --quick" \
          "--format json"
+    # The only end-to-end outputs of the Simple-COMA, contended-fabric
+    # and INC-geometry paths.
+    for b in ablation_scoma ablation_contention ablation_inc_capacity \
+             ablation_inc_assoc; do
+        echo "${b}_quick.txt $b --quick"
+    done
 }
 
 if [ "${1:-}" = "--check" ]; then
