@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "coherence/numa.hh"
+#include "common/rng.hh"
 
 using namespace memwall;
 
@@ -439,3 +444,192 @@ TEST(FabricContention, DisabledModeIgnoresTime)
     EXPECT_EQ(a.access(0, 0x200000, false, 0),
               b.access(0, 0x200000, false, 99999));
 }
+
+// ---- Pinned protocol traces ---------------------------------------------
+
+namespace {
+
+/** FNV-1a over the little-endian bytes of each mixed value. */
+struct TraceHash
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+enum class PinPattern {
+    FalseSharing,
+    HotContended,
+    Migratory,
+    RandomMix,
+    Dense,
+};
+
+/**
+ * Drive @p n accesses of @p pattern, each CPU on its own clock so
+ * that remote transactions overlap in contention mode. The first
+ * four patterns are the shapes validation_protocol_torture stresses;
+ * Dense walks page-aligned arrays laid out one after another the way
+ * MpRuntime's bump allocator places SPLASH data.
+ */
+void
+drivePinPattern(NumaMachine &m, Rng &rng, PinPattern pattern,
+                std::uint64_t n, std::vector<Tick> &clock,
+                TraceHash &hash)
+{
+    const unsigned nodes = m.config().nodes;
+    const Addr heap = Addr{1} << 20;
+    const Addr dense = 0x10000000;
+    const std::uint64_t array_bytes = 192 * KiB;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        unsigned cpu = 0;
+        Addr addr = heap;
+        bool store = false;
+        switch (pattern) {
+          case PinPattern::FalseSharing:
+            cpu = static_cast<unsigned>(i % nodes);
+            addr = heap + (i / nodes % 8) * 32 + (cpu % 8) * 4;
+            store = rng.bernoulli(0.5);
+            break;
+          case PinPattern::HotContended:
+            cpu = static_cast<unsigned>(rng.uniformInt(nodes));
+            addr = heap + rng.uniformInt(4) * 32;
+            store = (i & 1) != 0;
+            break;
+          case PinPattern::Migratory:
+            cpu = static_cast<unsigned>(i / 2 % nodes);
+            addr = heap + (i / (2 * nodes) % 16) * 32;
+            store = (i & 1) != 0;
+            break;
+          case PinPattern::RandomMix:
+            cpu = static_cast<unsigned>(rng.uniformInt(nodes));
+            addr = heap + rng.uniformInt(512) * 32;
+            store = rng.bernoulli(0.3);
+            break;
+          case PinPattern::Dense: {
+            // Each CPU sweeps the first array from its own slice on
+            // (8-byte elements, every third one written), running
+            // into its neighbours' slices; every fifth access reads
+            // a random block of the second array.
+            cpu = static_cast<unsigned>(i % nodes);
+            const std::uint64_t k = i / nodes;
+            if (k % 5 == 4) {
+                addr = dense + array_bytes +
+                       rng.uniformInt(array_bytes / 32) * 32;
+            } else {
+                addr = dense + (cpu * (array_bytes / nodes) + k * 8) %
+                                   array_bytes;
+                store = k % 3 == 0;
+            }
+            break;
+          }
+        }
+        const Cycles latency = m.access(cpu, addr, store, clock[cpu]);
+        clock[cpu] += latency;
+        hash.mix(latency);
+        hash.mix(static_cast<std::uint64_t>(m.lastService()));
+        hash.mix(m.directory().lookup(addr).encode());
+    }
+}
+
+struct PinnedRun
+{
+    const char *name;
+    NodeArch arch;
+    bool victim;
+    bool contention;
+    double nack_rate;
+    std::uint64_t expected;
+};
+
+/** Keeps the parameter's printed form (and so the test's listed
+ *  name) free of pointer bytes. */
+void
+PrintTo(const PinnedRun &run, std::ostream *os)
+{
+    *os << run.name;
+}
+
+} // namespace
+
+class NumaTracePin : public ::testing::TestWithParam<PinnedRun>
+{
+};
+
+/**
+ * Every access's latency, service level and directory encoding, and
+ * the final per-node statistics, hashed and compared against values
+ * recorded from the hash-container implementation of the machine.
+ * Covers the Simple-COMA, fabric-contention and NACK paths that the
+ * Figure 13-17 goldens never run.
+ */
+TEST_P(NumaTracePin, MatchesRecordedTrace)
+{
+    const PinnedRun run = GetParam();
+    NumaConfig config;
+    config.nodes = 8;
+    config.arch = run.arch;
+    config.victim_cache = run.victim;
+    // A 64 KiB INC (128 sets) so the dense stream replaces INC lines.
+    config.inc.reserved_bytes = 64 * KiB;
+    config.model_fabric_contention = run.contention;
+    config.protocol_fault.nack_rate = run.nack_rate;
+    config.protocol_fault.seed = 99;
+    NumaMachine m(config);
+
+    TraceHash hash;
+    Rng rng(2024);
+    std::vector<Tick> clock(config.nodes, 0);
+    for (PinPattern p :
+         {PinPattern::FalseSharing, PinPattern::HotContended,
+          PinPattern::Migratory, PinPattern::RandomMix,
+          PinPattern::Dense})
+        drivePinPattern(m, rng, p, p == PinPattern::Dense ? 40000 : 6000,
+                        clock, hash);
+    for (unsigned cpu = 0; cpu < config.nodes; ++cpu) {
+        const NodeStats &s = m.nodeStats(cpu);
+        for (const Counter *c : {&s.cache_hits, &s.local_mem, &s.inc_hits,
+                                 &s.remote_loads, &s.invalidations,
+                                 &s.total})
+            hash.mix(c->value());
+    }
+    hash.mix(m.protocolNacks());
+    hash.mix(m.protocolRetries());
+    hash.mix(m.protocolFailures());
+    for (Tick t : clock)
+        hash.mix(t);
+    EXPECT_EQ(hash.h, run.expected)
+        << std::hex << "0x" << hash.h << " for " << run.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Archs, NumaTracePin,
+    ::testing::Values(
+        PinnedRun{"Reference", NodeArch::ReferenceCcNuma, false, false,
+                  0.0, 0xa985f0c5080cf3b8ull},
+        PinnedRun{"ReferenceContended", NodeArch::ReferenceCcNuma, false,
+                  true, 0.0, 0x8f26512fddd95769ull},
+        PinnedRun{"Integrated", NodeArch::Integrated, false, false, 0.0,
+                  0xb6319674a5133eb6ull},
+        PinnedRun{"IntegratedContended", NodeArch::Integrated, false,
+                  true, 0.0, 0x177b03273ab10130ull},
+        PinnedRun{"IntegratedVc", NodeArch::Integrated, true, false, 0.0,
+                  0x1bd2b1e493ad9294ull},
+        PinnedRun{"IntegratedVcContended", NodeArch::Integrated, true,
+                  true, 0.0, 0x72c600faccbbf305ull},
+        PinnedRun{"SimpleComa", NodeArch::SimpleComa, true, false, 0.0,
+                  0x0010cb9d6081147cull},
+        PinnedRun{"SimpleComaContended", NodeArch::SimpleComa, true, true,
+                  0.0, 0x8be0b3ea45787971ull},
+        PinnedRun{"IntegratedVcNacks", NodeArch::Integrated, true, true,
+                  0.05, 0xa5030eff1b5f150eull}),
+    [](const ::testing::TestParamInfo<PinnedRun> &info) {
+        return std::string(info.param.name);
+    });
