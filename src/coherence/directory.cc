@@ -6,18 +6,6 @@
 
 namespace memwall {
 
-std::vector<unsigned>
-DirEntry::sharers() const
-{
-    std::vector<unsigned> out;
-    if (state_ != DirState::Shared)
-        return out;
-    for (auto p : ptrs_)
-        if (std::find(out.begin(), out.end(), p) == out.end())
-            out.push_back(static_cast<unsigned>(p));
-    return out;
-}
-
 bool
 DirEntry::tracks(unsigned node) const
 {
@@ -134,19 +122,6 @@ Directory::Directory(unsigned nodes) : nodes_(nodes)
     MW_ASSERT(nodes_ >= 1 && nodes_ <= DirEntry::max_nodes,
               "the 14-bit directory supports 1..16 nodes, got ",
               nodes_);
-}
-
-DirEntry &
-Directory::entry(Addr addr)
-{
-    return map_[blockAddr(addr)];
-}
-
-DirEntry
-Directory::lookup(Addr addr) const
-{
-    auto it = map_.find(blockAddr(addr));
-    return it == map_.end() ? DirEntry{} : it->second;
 }
 
 } // namespace memwall

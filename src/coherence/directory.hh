@@ -14,10 +14,11 @@
 #ifndef MEMWALL_COHERENCE_DIRECTORY_HH
 #define MEMWALL_COHERENCE_DIRECTORY_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
+#include "coherence/flat_table.hh"
 #include "coherence/protocol.hh"
 
 namespace memwall {
@@ -33,15 +34,29 @@ class DirEntry
      * null sentinel and 16-node systems work. */
     static constexpr unsigned max_nodes = 16;
 
-    DirEntry() { clear(); }
 
     DirState state() const { return state_; }
 
     /** Owner node id; valid only in Modified state. */
     unsigned owner() const { return ptrs_[0]; }
 
+    /** Distinct node ids in pointer-slot order, held in place. */
+    class Sharers
+    {
+      public:
+        const std::uint8_t *begin() const { return ids_; }
+        const std::uint8_t *end() const { return ids_ + count_; }
+        unsigned size() const { return count_; }
+        bool empty() const { return count_ == 0; }
+
+      private:
+        friend class DirEntry;
+        std::uint8_t ids_[max_pointers] = {};
+        std::uint8_t count_ = 0;
+    };
+
     /** Tracked sharers (Shared state only; empty under broadcast). */
-    std::vector<unsigned> sharers() const;
+    Sharers sharers() const;
 
     /** @return true iff @p node is a tracked sharer or the owner. */
     bool tracks(unsigned node) const;
@@ -67,28 +82,58 @@ class DirEntry
     bool operator==(const DirEntry &other) const;
 
   private:
-    DirState state_;
-    std::uint8_t ptrs_[max_pointers];
+    DirState state_ = DirState::Uncached;
+    std::uint8_t ptrs_[max_pointers] = {};
 };
+
+inline DirEntry::Sharers
+DirEntry::sharers() const
+{
+    Sharers out;
+    if (state_ != DirState::Shared)
+        return out;
+    for (std::uint8_t p : ptrs_)
+        if (std::find(out.begin(), out.end(), p) == out.end())
+            out.ids_[out.count_++] = p;
+    return out;
+}
 
 /**
  * Sparse directory over the shared address space. In hardware every
  * 32-byte block has an entry in its home node's DRAM; the simulator
- * materialises entries on first touch (absent = Uncached).
+ * materialises entries a chunk at a time on first touch (absent =
+ * Uncached).
  */
 class Directory
 {
+    /** 4096 entries (128 KiB of address space) per chunk. */
+    using Table = FlatTable<DirEntry, 12>;
+
   public:
+    /** Entries materialised together on first touch. */
+    static constexpr std::size_t chunk_entries = Table::chunk_entries;
+
     explicit Directory(unsigned nodes);
 
     /** Look up (and create) the entry for @p addr's block. */
-    DirEntry &entry(Addr addr);
+    DirEntry &entry(Addr addr) { return table_[blockNumber(addr)]; }
 
     /** Read-only probe; returns Uncached default when untouched. */
-    DirEntry lookup(Addr addr) const;
+    DirEntry
+    lookup(Addr addr) const
+    {
+        const DirEntry *e = table_.find(blockNumber(addr));
+        return e ? *e : DirEntry{};
+    }
 
     unsigned nodes() const { return nodes_; }
-    std::size_t materialisedEntries() const { return map_.size(); }
+
+    /** Entries backed by storage: whole chunks of chunk_entries. */
+    std::size_t
+    materialisedEntries() const
+    {
+        return table_.chunks() * chunk_entries;
+    }
 
     /**
      * Storage overhead check: bits of directory state per data
@@ -97,8 +142,14 @@ class Directory
     static constexpr unsigned bitsPerBlock() { return 14; }
 
   private:
+    static std::uint64_t
+    blockNumber(Addr addr)
+    {
+        return addr / coherence_unit;
+    }
+
     unsigned nodes_;
-    std::unordered_map<Addr, DirEntry> map_;
+    Table table_;
 };
 
 } // namespace memwall

@@ -37,8 +37,7 @@ InterNodeCache::access(Addr addr, bool store)
 {
     // Presence test only: fills go through insert() so that a miss
     // here does not allocate (the protocol decides what to import).
-    if (cache_.probe(addr)) {
-        cache_.touch(addr, store);
+    if (cache_.touch(addr, store)) {
         if (store)
             stats_.store_hits.inc();
         else

@@ -48,7 +48,7 @@ NumaMachine::NumaMachine(NumaConfig config)
             ColumnCacheConfig cc = config_.columns;
             cc.victim_enabled = config_.victim_cache;
             node.columns = std::make_unique<ColumnDataCache>(cc);
-            node.inc = std::make_unique<InterNodeCache>(config_.inc);
+            // The INC is built by incOf() on the first import.
             break;
           }
           case NodeArch::SimpleComa: {
@@ -63,6 +63,14 @@ NumaMachine::NumaMachine(NumaConfig config)
             break;
         }
     }
+}
+
+InterNodeCache &
+NumaMachine::incOf(Node &node)
+{
+    if (!node.inc)
+        node.inc = std::make_unique<InterNodeCache>(config_.inc);
+    return *node.inc;
 }
 
 void
@@ -89,9 +97,9 @@ unsigned
 NumaMachine::homeOf(Addr addr) const
 {
     const std::uint64_t page = pageOf(addr);
-    auto it = pages_.find(page);
-    if (it != pages_.end())
-        return it->second.home;
+    const PagePlacement *p = pages_.find(page);
+    if (p && p->placed)
+        return p->home;
     return static_cast<unsigned>(page % config_.nodes);
 }
 
@@ -104,63 +112,40 @@ NumaMachine::cacheView(unsigned node, Addr addr) const
         // Every page the node uses is replicated into its local
         // attraction memory, at a per-node local frame.
         const Node &n = nodes_[node];
-        auto fit = n.frames.find(page);
-        const std::uint64_t frame =
-            fit != n.frames.end() ? fit->second : n.next_frame;
+        const std::uint64_t *frame_plus_1 = n.frames.find(page);
+        const std::uint64_t frame = frame_plus_1 && *frame_plus_1
+            ? *frame_plus_1 - 1
+            : n.next_frame;
         return (Addr{1} << 47) |
                (frame * config_.page_bytes + pageOffset(block));
     }
-    auto it = pages_.find(page);
-    if (it == pages_.end() || it->second.home != node)
+    const PagePlacement *p = pages_.find(page);
+    if (!p || !p->placed || p->home != node)
         return block;  // imported blocks are tagged globally
-    return localView(it->second, block);
+    return localView(*p, block);
 }
 
-Addr
-NumaMachine::localView(const PagePlacement &p, Addr block) const
-{
-    // Local pages are contiguous in the node's physical DRAM, and
-    // the column buffers / FLC are physically indexed — without
-    // this translation the interleaved global addresses of a P-node
-    // machine would alias into a fraction of the cache sets.
-    const Addr local = p.local_frame * config_.page_bytes +
-                       pageOffset(block);
-    // Disjoint from the global space so imported and local tags
-    // can share one structure without false matches.
-    return (Addr{1} << 47) | local;
-}
-
-unsigned
+inline unsigned
 NumaMachine::resolveHomeAndView(Addr addr, unsigned toucher,
                                 Addr &view)
 {
     const Addr block = blockAddr(addr);
     const std::uint64_t page = pageOf(addr);
-    const PagePlacement *pp;
-    if (page == memo_page_) {
-        pp = memo_place_;
-    } else {
-        auto it = pages_.find(page);
-        if (it == pages_.end()) {
-            const unsigned home = config_.first_touch
-                ? toucher
-                : static_cast<unsigned>(page % config_.nodes);
-            it = pages_
-                     .emplace(page, PagePlacement{
-                                        home, frames_used_[home]++})
-                     .first;
-        }
-        pp = &it->second;
-        memo_page_ = page;
-        memo_place_ = pp;
+    PagePlacement &p = pages_[page];
+    if (!p.placed) {
+        p.home = config_.first_touch
+            ? toucher
+            : static_cast<unsigned>(page % config_.nodes);
+        p.local_frame = frames_used_[p.home]++;
+        p.placed = true;
     }
     if (config_.arch == NodeArch::SimpleComa)
         view = cacheView(toucher, addr);  // per-node frame table
-    else if (pp->home != toucher)
+    else if (p.home != toucher)
         view = block;
     else
-        view = localView(*pp, block);
-    return pp->home;
+        view = localView(p, block);
+    return p.home;
 }
 
 const NodeStats &
@@ -177,10 +162,10 @@ NumaMachine::fillLocal(unsigned node, Addr block, bool store)
     if (config_.arch == NodeArch::SimpleComa) {
         // Allocate the page's local frame on first use, then fill
         // the column from the attraction memory.
-        const std::uint64_t page = pageOf(block);
-        if (!n.frames.contains(page))
-            n.frames.emplace(page, n.next_frame++);
-        n.attraction.insert(block);
+        std::uint64_t &frame_plus_1 = n.frames[pageOf(block)];
+        if (!frame_plus_1)
+            frame_plus_1 = ++n.next_frame;
+        addReplica(node, block);
         n.columns->access(cacheView(node, block), store);
         return;
     }
@@ -190,7 +175,7 @@ NumaMachine::fillLocal(unsigned node, Addr block, bool store)
         n.columns->access(view, store);
     } else {
         n.flc->access(view, store);
-        n.slc.insert(block);
+        addReplica(node, block);
     }
 }
 
@@ -204,15 +189,16 @@ NumaMachine::invalidateAt(unsigned node, Addr block)
     switch (config_.arch) {
       case NodeArch::Integrated:
         n.columns->invalidateBlock(view);
-        n.inc->invalidate(block);
+        if (n.inc)
+            n.inc->invalidate(block);
         return;
       case NodeArch::SimpleComa:
         n.columns->invalidateBlock(view);
-        n.attraction.erase(block);
+        dropReplica(node, block);
         return;
       case NodeArch::ReferenceCcNuma:
         n.flc->invalidate(view);
-        n.slc.erase(block);
+        dropReplica(node, block);
         return;
     }
 }
@@ -309,10 +295,9 @@ NumaMachine::remoteRoundTrip(unsigned cpu, unsigned home,
 }
 
 Cycles
-NumaMachine::access(unsigned cpu, Addr addr, bool store, Tick now)
+NumaMachine::accessObserved(unsigned cpu, Addr addr, bool store,
+                            Tick now)
 {
-    if (!obs_)
-        return accessImpl(cpu, addr, store, now);
     const Addr block = blockAddr(addr);
     obs_now_ = now;
     const std::uint16_t before = directory_.lookup(block).encode();
@@ -354,11 +339,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
         return lat.cache_hit;
     }
 
-    if (block != memo_block_) {
-        memo_block_ = block;
-        memo_entry_ = &directory_.entry(block);
-    }
-    DirEntry &e = *memo_entry_;
+    DirEntry &e = directory_.entry(block);
     if (l1_hit && e.state() == DirState::Modified && e.owner() == cpu) {
         n.stats.cache_hits.inc();
         last_service_ = ServiceLevel::CacheHit;
@@ -369,7 +350,7 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
     // (L1 miss but local home / INC / SLC), shared by several paths.
     auto local_refetch = [&](bool st) -> Cycles {
         if (config_.arch == NodeArch::SimpleComa) {
-            if (n.attraction.contains(block)) {
+            if (hasReplica(cpu, block)) {
                 // Valid in the local attraction memory: a plain
                 // local DRAM access regardless of the block's home.
                 fillLocal(cpu, block, st);
@@ -396,27 +377,27 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
             return lat.local_memory;
         }
         if (config_.arch == NodeArch::Integrated) {
-            if (n.inc->access(block, st)) {
+            if (n.inc && n.inc->access(block, st)) {
                 n.columns->stageRemoteBlock(block);
                 last_service_ = ServiceLevel::IncHit;
                 n.stats.inc_hits.inc();
                 return lat.inc_access + lat.inc_tag_extra;
             }
             // Fell out of the INC as well: fetch again.
-            n.inc->insert(block);
+            incOf(n).insert(block);
             n.columns->stageRemoteBlock(block);
             last_service_ = ServiceLevel::Remote;
             n.stats.remote_loads.inc();
             return remoteRoundTrip(cpu, home, block, now, lat.remote_load);
         }
-        if (n.slc.contains(block)) {
+        if (hasReplica(cpu, block)) {
             n.flc->access(block, st);
             last_service_ = ServiceLevel::LocalMemory;
             n.stats.local_mem.inc();
             return lat.local_memory;  // SLC hit (Table 6: 6 cycles)
         }
         n.flc->access(block, st);
-        n.slc.insert(block);
+        addReplica(cpu, block);
         last_service_ = ServiceLevel::Remote;
         n.stats.remote_loads.inc();
         return remoteRoundTrip(cpu, home, block, now, lat.remote_load);
@@ -427,11 +408,11 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
         if (config_.arch == NodeArch::SimpleComa || home == cpu) {
             fillLocal(cpu, block, st);
         } else if (config_.arch == NodeArch::Integrated) {
-            n.inc->insert(block);
+            incOf(n).insert(block);
             n.columns->stageRemoteBlock(block);
         } else {
             n.flc->access(block, st);
-            n.slc.insert(block);
+            addReplica(cpu, block);
         }
     };
 

@@ -28,11 +28,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/directory.hh"
+#include "coherence/flat_table.hh"
 #include "common/rng.hh"
 #include "interconnect/fabric.hh"
 #include "coherence/inc.hh"
@@ -213,8 +212,13 @@ class NumaMachine
      * timestamp only matters in fabric-contention mode).
      * @return the access latency in cycles.
      */
-    Cycles access(unsigned cpu, Addr addr, bool store,
-                  Tick now = 0);
+    Cycles
+    access(unsigned cpu, Addr addr, bool store, Tick now = 0)
+    {
+        if (!obs_)
+            return accessImpl(cpu, addr, store, now);
+        return accessObserved(cpu, addr, store, now);
+    }
 
     /** Service level of the most recent access (for tests). */
     ServiceLevel lastService() const { return last_service_; }
@@ -270,17 +274,16 @@ class NumaMachine
   private:
     struct Node
     {
-        // Integrated structures.
+        // Integrated structures. The INC is built on the node's
+        // first import, so nodes that never import (every node of a
+        // 1-node machine) never allocate its tag array.
         std::unique_ptr<ColumnDataCache> columns;
         std::unique_ptr<InterNodeCache> inc;
         // Reference structures.
         std::unique_ptr<Cache> flc;
-        std::unordered_set<Addr> slc;  ///< infinite SLC contents
-        // Simple-COMA structures: blocks currently valid in this
-        // node's attraction memory, and the local frame assigned to
-        // each replicated page.
-        std::unordered_set<Addr> attraction;
-        std::unordered_map<std::uint64_t, std::uint64_t> frames;
+        // Simple-COMA: 1 + the local frame assigned to each
+        // replicated page (0 until the page is replicated here).
+        FlatTable<std::uint64_t, 9> frames;
         std::uint64_t next_frame = 0;
         NodeStats stats;
     };
@@ -303,13 +306,27 @@ class NumaMachine
 
     struct PagePlacement
     {
-        unsigned home;
         /** Index of this page within its home's local DRAM. */
-        std::uint64_t local_frame;
+        std::uint64_t local_frame = 0;
+        unsigned home = 0;
+        /** False until the page's first access places it. */
+        bool placed = false;
     };
 
     /** Local-DRAM tag of @p block under placement @p p. */
-    Addr localView(const PagePlacement &p, Addr block) const;
+    Addr
+    localView(const PagePlacement &p, Addr block) const
+    {
+        // Local pages are contiguous in the node's physical DRAM, and
+        // the column buffers / FLC are physically indexed — without
+        // this translation the interleaved global addresses of a
+        // P-node machine would alias into a fraction of the cache
+        // sets. Bit 47 keeps the local range disjoint from the global
+        // space, so imported and local tags can share one structure
+        // without false matches.
+        return (Addr{1} << 47) |
+               (p.local_frame * config_.page_bytes + pageOffset(block));
+    }
 
     /**
      * Home of @p addr's page, placing the page on its first access
@@ -319,13 +336,40 @@ class NumaMachine
     unsigned resolveHomeAndView(Addr addr, unsigned toucher,
                                 Addr &view);
 
+    /** @p node's INC, built on first use. */
+    InterNodeCache &incOf(Node &node);
+
+    // Membership of @p node in @p block's replicas_ mask.
+    bool
+    hasReplica(unsigned node, Addr block) const
+    {
+        const std::uint16_t *mask =
+            replicas_.find(block / coherence_unit);
+        return mask && (*mask >> node & 1u);
+    }
+    void
+    addReplica(unsigned node, Addr block)
+    {
+        replicas_[block / coherence_unit] |=
+            static_cast<std::uint16_t>(1u << node);
+    }
+    void
+    dropReplica(unsigned node, Addr block)
+    {
+        if (std::uint16_t *mask = replicas_.find(block / coherence_unit))
+            *mask &= static_cast<std::uint16_t>(~(1u << node));
+    }
+
     /** Contended cost of a request/reply round trip to @p home. */
     Cycles remoteRoundTrip(unsigned cpu, unsigned home, Addr block,
                            Tick now, Cycles floor);
 
-    /** Protocol body of access(); access() adds observer hooks. */
+    /** Protocol body of access(). */
     Cycles accessImpl(unsigned cpu, Addr addr, bool store,
                       Tick now);
+    /** accessImpl() wrapped in the observer hooks. */
+    Cycles accessObserved(unsigned cpu, Addr addr, bool store,
+                          Tick now);
 
     NumaConfig config_;
     Directory directory_;
@@ -343,23 +387,18 @@ class NumaMachine
     std::vector<Tick> engine_free_;
     std::vector<Node> nodes_;
     ServiceLevel last_service_ = ServiceLevel::CacheHit;
-    std::unordered_map<std::uint64_t, PagePlacement> pages_;
+    /** Placement of every page touched so far, by page number. */
+    FlatTable<PagePlacement, 9> pages_;
+    /**
+     * Per block number, bit n set while node n holds a replica
+     * beyond its first-level cache: in its infinite SLC (reference
+     * machine) or its attraction memory (Simple-COMA).
+     */
+    FlatTable<std::uint16_t, 12> replicas_;
     std::vector<std::uint64_t> frames_used_;
     /** log2(page_bytes): pages are power-of-two sized, and the
      * page-number division sits on the per-access hot path. */
     unsigned page_shift_ = 0;
-    /**
-     * One-entry memo over pages_ for the access hot path. Safe
-     * because placements are immutable once assigned and
-     * unordered_map never invalidates element pointers; pure
-     * memoization, so results are bit-identical with or without it.
-     */
-    std::uint64_t memo_page_ = ~std::uint64_t{0};
-    const PagePlacement *memo_place_ = nullptr;
-    /** Same memo idea for the directory entry of the last block
-     * (entry pointers are stable; contents are re-read live). */
-    Addr memo_block_ = ~Addr{0};
-    DirEntry *memo_entry_ = nullptr;
 
     std::uint64_t pageOf(Addr addr) const
     {

@@ -18,9 +18,9 @@ CacheConfig::sets() const
 void
 CacheConfig::validate() const
 {
-    if (!isPowerOfTwo(line_size))
-        MW_FATAL(name, ": line size must be a power of two, got ",
-                 line_size);
+    if (line_size < 2 || !isPowerOfTwo(line_size))
+        MW_FATAL(name, ": line size must be a power of two of at least "
+                 "2 bytes, got ", line_size);
     if (capacity % line_size != 0)
         MW_FATAL(name, ": capacity not a multiple of the line size");
     const std::uint64_t lines = capacity / line_size;
@@ -47,45 +47,45 @@ Cache::Cache(CacheConfig config, std::uint64_t seed)
     line_shift_ = floorLog2(config_.line_size);
     line_mask_ = config_.line_size - 1;
     tag_shift_ = line_shift_ + floorLog2(sets_);
-    lines_.resize(sets_ * assoc_);
+    sub_shift_ = floorLog2(config_.sub_block_size);
+    tags_.assign(sets_ * assoc_, invalid_tag);
+    ways_.resize(sets_ * assoc_);
 }
 
-std::uint64_t
-Cache::setIndex(Addr addr) const
+std::size_t
+Cache::victimWay(std::uint64_t set)
 {
-    return (addr >> line_shift_) & (sets_ - 1);
-}
-
-Cache::Line &
-Cache::victimLine(std::uint64_t set)
-{
-    Line *base = &lines_[set * assoc_];
+    const std::size_t base = set * assoc_;
     // Prefer an invalid way.
     for (std::uint32_t w = 0; w < assoc_; ++w)
-        if (!base[w].valid)
-            return base[w];
+        if (tags_[base + w] == invalid_tag)
+            return base + w;
     if (config_.repl == ReplPolicy::Random) {
         // xorshift64 keeps this dependency-free and deterministic.
         rng_state_ ^= rng_state_ << 13;
         rng_state_ ^= rng_state_ >> 7;
         rng_state_ ^= rng_state_ << 17;
-        return base[rng_state_ % assoc_];
+        return base + rng_state_ % assoc_;
     }
-    Line *victim = &base[0];
+    std::size_t victim = base;
     for (std::uint32_t w = 1; w < assoc_; ++w)
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    return *victim;
+        if (ways_[base + w].lru < ways_[victim].lru)
+            victim = base + w;
+    return victim;
 }
 
-void
-Cache::touchLine(Line &line, Addr addr, bool store)
+Eviction
+Cache::evictionOf(std::size_t way, std::uint64_t set) const
 {
-    line.lru = ++lru_clock_;
-    line.last_sub_block = static_cast<std::uint32_t>(
-        (addr & line_mask_) / config_.sub_block_size);
-    if (store)
-        line.dirty = true;
+    // Reconstruct the line's address from tag and set.
+    const Addr line = (tags_[way] << tag_shift_) | (set << line_shift_);
+    Eviction ev;
+    ev.line_addr = line;
+    ev.last_sub_block =
+        line + static_cast<Addr>(ways_[way].last_sub_block) *
+                   config_.sub_block_size;
+    ev.dirty = ways_[way].dirty;
+    return ev;
 }
 
 AccessResult
@@ -96,9 +96,10 @@ Cache::access(Addr addr, bool store)
     // of a stack temporary copied out per access.
     AccessResult result;
     const std::uint64_t set = setIndex(addr);
-    if (Line *line = findInSetOf(*this, set, tagOf(addr))) {
+    const std::size_t way = findWay(set, tagOf(addr));
+    if (way != no_way) {
         result.hit = true;
-        touchLine(*line, addr, store);
+        touchWay(way, addr, store);
         if (store)
             stats_.store_hits.inc();
         else
@@ -122,9 +123,10 @@ Cache::warmAccess(Addr addr, bool store)
 {
     AccessResult result;
     const std::uint64_t set = setIndex(addr);
-    if (Line *line = findInSetOf(*this, set, tagOf(addr))) {
+    const std::size_t way = findWay(set, tagOf(addr));
+    if (way != no_way) {
         result.hit = true;
-        touchLine(*line, addr, store);
+        touchWay(way, addr, store);
         return result;
     }
     fillAtNoStats(result, set, addr, store);
@@ -146,77 +148,41 @@ void
 Cache::fillAtNoStats(AccessResult &result, std::uint64_t set,
                      Addr addr, bool store)
 {
-    Line &victim = victimLine(set);
-    if (victim.valid) {
-        // Reconstruct the evicted line's address from tag and set.
-        const Addr old_line =
-            (victim.tag << tag_shift_) | (set << line_shift_);
-        Eviction ev;
-        ev.line_addr = old_line;
-        ev.last_sub_block =
-            old_line + static_cast<Addr>(victim.last_sub_block) *
-                           config_.sub_block_size;
-        ev.dirty = victim.dirty;
-        result.eviction = ev;
-    }
-    victim.valid = true;
-    victim.tag = tagOf(addr);
-    victim.dirty = false;
-    touchLine(victim, addr, store);
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    return findLine(addr) != nullptr;
-}
-
-bool
-Cache::touch(Addr addr, bool store)
-{
-    if (Line *line = findLine(addr)) {
-        touchLine(*line, addr, store);
-        return true;
-    }
-    return false;
+    const std::size_t victim = victimWay(set);
+    if (tags_[victim] != invalid_tag)
+        result.eviction = evictionOf(victim, set);
+    tags_[victim] = tagOf(addr);
+    ways_[victim].dirty = false;
+    touchWay(victim, addr, store);
 }
 
 std::optional<Eviction>
 Cache::invalidate(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        const std::uint64_t set = setIndex(addr);
-        Eviction ev;
-        const Addr old_line =
-            (line->tag << tag_shift_) | (set << line_shift_);
-        ev.line_addr = old_line;
-        ev.last_sub_block =
-            old_line + static_cast<Addr>(line->last_sub_block) *
-                           config_.sub_block_size;
-        ev.dirty = line->dirty;
-        line->valid = false;
-        line->dirty = false;
-        return ev;
-    }
-    return std::nullopt;
+    const std::uint64_t set = setIndex(addr);
+    const std::size_t way = findWay(set, tagOf(addr));
+    if (way == no_way)
+        return std::nullopt;
+    const Eviction ev = evictionOf(way, set);
+    tags_[way] = invalid_tag;
+    ways_[way].dirty = false;
+    return ev;
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    std::fill(tags_.begin(), tags_.end(), invalid_tag);
+    for (WayState &w : ways_)
+        w.dirty = false;
 }
 
 std::uint64_t
 Cache::residentLines() const
 {
-    std::uint64_t n = 0;
-    for (const auto &line : lines_)
-        n += line.valid ? 1 : 0;
-    return n;
+    return static_cast<std::uint64_t>(
+        std::count_if(tags_.begin(), tags_.end(),
+                      [](Addr tag) { return tag != invalid_tag; }));
 }
 
 void
@@ -232,26 +198,26 @@ Cache::saveState(ckpt::Encoder &e) const
     // Rank the valid lines by recency so the serialized form is
     // independent of how large the LRU clock had grown.
     std::vector<std::uint32_t> by_recency;
-    for (std::uint32_t i = 0; i < lines_.size(); ++i)
-        if (lines_[i].valid)
+    for (std::uint32_t i = 0; i < tags_.size(); ++i)
+        if (tags_[i] != invalid_tag)
             by_recency.push_back(i);
     std::sort(by_recency.begin(), by_recency.end(),
               [this](std::uint32_t a, std::uint32_t b) {
-                  return lines_[a].lru < lines_[b].lru;
+                  return ways_[a].lru < ways_[b].lru;
               });
-    std::vector<std::uint64_t> rank(lines_.size(), 0);
+    std::vector<std::uint64_t> rank(tags_.size(), 0);
     for (std::uint32_t r = 0; r < by_recency.size(); ++r)
         rank[by_recency[r]] = r + 1;
 
-    for (std::uint32_t i = 0; i < lines_.size(); ++i) {
-        const Line &line = lines_[i];
-        if (!line.valid) {
+    for (std::uint32_t i = 0; i < tags_.size(); ++i) {
+        if (tags_[i] == invalid_tag) {
             e.u8(0);
             continue;
         }
-        e.u8(1u | (line.dirty ? 2u : 0u));
-        e.varint(line.tag);
-        e.varint(line.last_sub_block);
+        const WayState &way = ways_[i];
+        e.u8(1u | (way.dirty ? 2u : 0u));
+        e.varint(tags_[i]);
+        e.varint(way.last_sub_block);
         e.varint(rank[i]);
     }
 }
@@ -277,9 +243,10 @@ Cache::loadState(ckpt::Decoder &d)
     AccessStats stats;
     ckpt::getAccessStats(d, stats);
 
-    std::vector<Line> lines(lines_.size());
+    std::vector<Addr> tags(tags_.size(), invalid_tag);
+    std::vector<WayState> ways(ways_.size());
     std::uint64_t valid = 0;
-    for (Line &line : lines) {
+    for (std::size_t i = 0; i < tags.size(); ++i) {
         const std::uint8_t flags = d.u8();
         if (d.failed())
             return;
@@ -291,13 +258,17 @@ Cache::loadState(ckpt::Decoder &d)
             }
             continue;
         }
-        line.valid = true;
-        line.dirty = (flags & 2u) != 0;
-        line.tag = d.varint();
-        line.last_sub_block =
-            static_cast<std::uint32_t>(d.varint());
-        line.lru = d.varint();
-        if (line.lru == 0 || line.lru > lines_.size()) {
+        WayState &way = ways[i];
+        way.dirty = (flags & 2u) != 0;
+        tags[i] = d.varint();
+        way.last_sub_block = static_cast<std::uint32_t>(d.varint());
+        way.lru = d.varint();
+        if (tags[i] > invalid_tag >> tag_shift_) {
+            d.fail("cache '" + config_.name +
+                   "': tag wider than the address");
+            return;
+        }
+        if (way.lru == 0 || way.lru > tags.size()) {
             d.fail("cache '" + config_.name +
                    "': recency rank out of range");
             return;
@@ -307,7 +278,8 @@ Cache::loadState(ckpt::Decoder &d)
     if (d.failed())
         return;
 
-    lines_ = std::move(lines);
+    tags_ = std::move(tags);
+    ways_ = std::move(ways);
     lru_clock_ = valid;
     rng_state_ = rng ? rng : 1;
     stats_ = stats;

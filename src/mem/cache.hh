@@ -113,14 +113,26 @@ class Cache
     AccessResult warmAccess(Addr addr, bool store);
 
     /** @return true iff the line containing @p addr is resident. */
-    bool probe(Addr addr) const;
+    bool
+    probe(Addr addr) const
+    {
+        return findWay(setIndex(addr), tagOf(addr)) != no_way;
+    }
 
     /**
      * Touch without filling: updates LRU/sub-block bookkeeping if the
      * line is resident and reports whether it was. Used when another
      * structure (e.g. a victim cache) services the access.
      */
-    bool touch(Addr addr, bool store);
+    bool
+    touch(Addr addr, bool store)
+    {
+        const std::size_t way = findWay(setIndex(addr), tagOf(addr));
+        if (way == no_way)
+            return false;
+        touchWay(way, addr, store);
+        return true;
+    }
 
     /**
      * Drop the line containing @p addr if resident.
@@ -159,60 +171,66 @@ class Cache
     void loadState(ckpt::Decoder &d);
 
   private:
-    struct Line
+    /**
+     * Tag of an invalid way. Line sizes are at least 2 bytes, so
+     * every real tag (an address shifted right by at least one bit)
+     * has its top bit clear and none can equal this.
+     */
+    static constexpr Addr invalid_tag = ~Addr{0};
+    /** findWay()'s result when no way holds the tag. */
+    static constexpr std::size_t no_way = ~std::size_t{0};
+
+    /** Everything about a way but its tag (kept in tags_). */
+    struct WayState
     {
-        bool valid = false;
-        Addr tag = 0;
-        bool dirty = false;
         std::uint64_t lru = 0;
         std::uint32_t last_sub_block = 0;
+        bool dirty = false;
     };
 
-    Addr lineAddr(Addr addr) const { return addr & ~line_mask_; }
-    std::uint64_t setIndex(Addr addr) const;
+    std::uint64_t
+    setIndex(Addr addr) const
+    {
+        return (addr >> line_shift_) & (sets_ - 1);
+    }
     Addr tagOf(Addr addr) const { return addr >> tag_shift_; }
 
     /**
-     * Shared implementation of the const and non-const tag walks;
-     * deduces constness from @p self instead of const_cast'ing. The
-     * set base and tag are computed once, outside the per-way loop;
-     * access() precomputes the set itself so the miss path can reuse
-     * it without a second index computation.
+     * Index (into tags_ and ways_) of the way of @p set that holds
+     * @p tag, or no_way. The walk reads only the set's tags, so a
+     * 7-way INC set costs one host cache line, not three.
      */
-    template <typename Self>
-    static auto *
-    findInSetOf(Self &self, std::uint64_t set, Addr tag)
+    std::size_t
+    findWay(std::uint64_t set, Addr tag) const
     {
-        auto *base = &self.lines_[set * self.assoc_];
-        for (std::uint32_t w = 0; w < self.assoc_; ++w) {
-            if (base[w].valid && base[w].tag == tag)
-                return &base[w];
-        }
-        return static_cast<decltype(&base[0])>(nullptr);
+        const std::size_t base = set * assoc_;
+        for (std::uint32_t w = 0; w < assoc_; ++w)
+            if (tags_[base + w] == tag)
+                return base + w;
+        return no_way;
     }
 
-    template <typename Self>
-    static auto *
-    findLineIn(Self &self, Addr addr)
-    {
-        return findInSetOf(self, self.setIndex(addr),
-                           self.tagOf(addr));
-    }
+    /** Eviction record of the valid way @p way of @p set. */
+    Eviction evictionOf(std::size_t way, std::uint64_t set) const;
 
-    Line *findLine(Addr addr) { return findLineIn(*this, addr); }
-    const Line *
-    findLine(Addr addr) const
-    {
-        return findLineIn(*this, addr);
-    }
     /** Miss path shared by access() and fill(); writes @p result. */
     void fillAt(AccessResult &result, std::uint64_t set, Addr addr,
                 bool store);
     /** fillAt() without the miss counters (warming path). */
     void fillAtNoStats(AccessResult &result, std::uint64_t set,
                        Addr addr, bool store);
-    Line &victimLine(std::uint64_t set);
-    void touchLine(Line &line, Addr addr, bool store);
+    std::size_t victimWay(std::uint64_t set);
+
+    void
+    touchWay(std::size_t way, Addr addr, bool store)
+    {
+        WayState &w = ways_[way];
+        w.lru = ++lru_clock_;
+        w.last_sub_block =
+            static_cast<std::uint32_t>((addr & line_mask_) >> sub_shift_);
+        if (store)
+            w.dirty = true;
+    }
 
     CacheConfig config_;
     std::uint64_t sets_;
@@ -220,7 +238,12 @@ class Cache
     Addr line_mask_;
     unsigned line_shift_;
     unsigned tag_shift_;
-    std::vector<Line> lines_;
+    /** log2(sub_block_size). */
+    unsigned sub_shift_;
+    /** Tag of every way, set by set; invalid_tag when empty. */
+    std::vector<Addr> tags_;
+    /** The rest of each way's state, parallel to tags_. */
+    std::vector<WayState> ways_;
     std::uint64_t lru_clock_ = 0;
     std::uint64_t rng_state_;
     AccessStats stats_;

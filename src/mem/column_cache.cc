@@ -63,8 +63,7 @@ ColumnDataCache::access(Addr addr, bool store)
     // Column buffers and victim entries are searched in parallel; a
     // hit in either costs a single cycle. The victim cache is probed
     // (not charged a miss) when the buffers hit.
-    if (columns_.probe(addr)) {
-        columns_.touch(addr, store);
+    if (columns_.touch(addr, store)) {
         if (store)
             stats_.store_hits.inc();
         else
@@ -83,8 +82,7 @@ ColumnDataCache::access(Addr addr, bool store)
     // Real miss: the column buffer reloads from the DRAM array. The
     // displaced column donates its most recently accessed sub-block
     // to the victim cache during the array access window.
-    const AccessResult fill = columns_.access(addr, store);
-    MW_ASSERT(!fill.hit, "probe said miss but access hit");
+    const AccessResult fill = columns_.fill(addr, store);
     last_eviction_dirty_ = fill.eviction && fill.eviction->dirty;
     if (config_.victim_enabled && fill.eviction)
         victim_.insert(fill.eviction->last_sub_block);
@@ -99,42 +97,15 @@ ColumnDataCache::access(Addr addr, bool store)
 DAccessOutcome
 ColumnDataCache::warmAccess(Addr addr, bool store)
 {
-    if (columns_.probe(addr)) {
-        columns_.touch(addr, store);
+    if (columns_.touch(addr, store))
         return DAccessOutcome::HitColumn;
-    }
     if (config_.victim_enabled && victim_.warmAccess(addr))
         return DAccessOutcome::HitVictim;
     const AccessResult fill = columns_.warmAccess(addr, store);
-    MW_ASSERT(!fill.hit, "probe said miss but warm access hit");
+    MW_ASSERT(!fill.hit, "touch said miss but warm access hit");
     last_eviction_dirty_ = fill.eviction && fill.eviction->dirty;
     if (config_.victim_enabled && fill.eviction)
         victim_.insert(fill.eviction->last_sub_block);
-    return DAccessOutcome::Miss;
-}
-
-DAccessOutcome
-ColumnDataCache::accessNoFill(Addr addr, bool store)
-{
-    if (columns_.probe(addr)) {
-        columns_.touch(addr, store);
-        if (store)
-            stats_.store_hits.inc();
-        else
-            stats_.load_hits.inc();
-        return DAccessOutcome::HitColumn;
-    }
-    if (config_.victim_enabled && victim_.access(addr, store)) {
-        if (store)
-            stats_.store_hits.inc();
-        else
-            stats_.load_hits.inc();
-        return DAccessOutcome::HitVictim;
-    }
-    if (store)
-        stats_.store_misses.inc();
-    else
-        stats_.load_misses.inc();
     return DAccessOutcome::Miss;
 }
 
@@ -149,15 +120,11 @@ ColumnDataCache::probe(Addr addr) const
 bool
 ColumnDataCache::invalidateBlock(Addr addr)
 {
-    bool any = false;
     // Invalidate the whole column if it holds the block: a 512-byte
     // column cannot keep a 32-byte hole, so coherence invalidations
     // drop the full buffer (this is the cost of long lines under
     // sharing that Section 6.2 discusses).
-    if (columns_.probe(addr)) {
-        columns_.invalidate(addr);
-        any = true;
-    }
+    bool any = columns_.invalidate(addr).has_value();
     if (config_.victim_enabled && victim_.invalidate(addr))
         any = true;
     return any;

@@ -109,7 +109,20 @@ class ColumnDataCache
      * are imported in 32-byte units through the victim cache, never
      * as full columns (Section 6.2).
      */
-    DAccessOutcome accessNoFill(Addr addr, bool store);
+    DAccessOutcome
+    accessNoFill(Addr addr, bool store)
+    {
+        if (columns_.touch(addr, store)) {
+            (store ? stats_.store_hits : stats_.load_hits).inc();
+            return DAccessOutcome::HitColumn;
+        }
+        if (config_.victim_enabled && victim_.access(addr, store)) {
+            (store ? stats_.store_hits : stats_.load_hits).inc();
+            return DAccessOutcome::HitVictim;
+        }
+        (store ? stats_.store_misses : stats_.load_misses).inc();
+        return DAccessOutcome::Miss;
+    }
 
     /**
      * access() with identical state transitions (column fill, victim

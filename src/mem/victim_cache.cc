@@ -13,40 +13,17 @@ VictimCache::VictimCache(VictimCacheConfig config)
 {
     if (config_.entries == 0)
         MW_FATAL("victim cache needs at least one entry");
-    if (!isPowerOfTwo(config_.line_size))
-        MW_FATAL("victim cache line size must be a power of two");
-}
-
-bool
-VictimCache::access(Addr addr, bool store)
-{
-    const Addr block = blockAddr(addr);
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.block == block) {
-            entry.lru = ++lru_clock_;
-            if (store)
-                stats_.store_hits.inc();
-            else
-                stats_.load_hits.inc();
-            return true;
-        }
-    }
-    if (store)
-        stats_.store_misses.inc();
-    else
-        stats_.load_misses.inc();
-    return false;
+    if (config_.line_size < 2 || !isPowerOfTwo(config_.line_size))
+        MW_FATAL("victim cache line size must be a power of two of at "
+                 "least 2 bytes");
 }
 
 bool
 VictimCache::warmAccess(Addr addr)
 {
-    const Addr block = blockAddr(addr);
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.block == block) {
-            entry.lru = ++lru_clock_;
-            return true;
-        }
+    if (Entry *entry = find(addr)) {
+        entry->lru = ++lru_clock_;
+        return true;
     }
     return false;
 }
@@ -56,7 +33,7 @@ VictimCache::probe(Addr addr) const
 {
     const Addr block = blockAddr(addr);
     for (const auto &entry : entries_)
-        if (entry.valid && entry.block == block)
+        if (entry.block == block)
             return true;
     return false;
 }
@@ -65,23 +42,22 @@ void
 VictimCache::insert(Addr addr)
 {
     const Addr block = blockAddr(addr);
-    Entry *victim = nullptr;
+    // One pass: the first empty entry is the victim, or failing that
+    // the least recently used one.
+    Entry *empty = nullptr;
+    Entry *oldest = &entries_[0];
     for (auto &entry : entries_) {
-        if (entry.valid && entry.block == block) {
+        if (entry.block == block) {
             // Already present; treat the insert as a refresh.
             entry.lru = ++lru_clock_;
             return;
         }
-        if (!entry.valid && !victim)
-            victim = &entry;
+        if (!entry.valid() && !empty)
+            empty = &entry;
+        if (entry.lru < oldest->lru)
+            oldest = &entry;
     }
-    if (!victim) {
-        victim = &entries_[0];
-        for (auto &entry : entries_)
-            if (entry.lru < victim->lru)
-                victim = &entry;
-    }
-    victim->valid = true;
+    Entry *victim = empty ? empty : oldest;
     victim->block = block;
     victim->lru = ++lru_clock_;
 }
@@ -89,21 +65,17 @@ VictimCache::insert(Addr addr)
 bool
 VictimCache::invalidate(Addr addr)
 {
-    const Addr block = blockAddr(addr);
-    for (auto &entry : entries_) {
-        if (entry.valid && entry.block == block) {
-            entry.valid = false;
-            return true;
-        }
-    }
-    return false;
+    Entry *entry = find(addr);
+    if (entry)
+        entry->block = invalid_block;
+    return entry != nullptr;
 }
 
 void
 VictimCache::flush()
 {
     for (auto &entry : entries_)
-        entry.valid = false;
+        entry.block = invalid_block;
 }
 
 void
@@ -115,7 +87,7 @@ VictimCache::saveState(ckpt::Encoder &e) const
 
     std::vector<std::uint32_t> by_recency;
     for (std::uint32_t i = 0; i < entries_.size(); ++i)
-        if (entries_[i].valid)
+        if (entries_[i].valid())
             by_recency.push_back(i);
     std::sort(by_recency.begin(), by_recency.end(),
               [this](std::uint32_t a, std::uint32_t b) {
@@ -127,8 +99,8 @@ VictimCache::saveState(ckpt::Encoder &e) const
 
     for (std::uint32_t i = 0; i < entries_.size(); ++i) {
         const Entry &entry = entries_[i];
-        e.u8(entry.valid ? 1 : 0);
-        if (entry.valid) {
+        e.u8(entry.valid() ? 1 : 0);
+        if (entry.valid()) {
             e.varint(entry.block);
             e.varint(rank[i]);
         }
@@ -162,9 +134,12 @@ VictimCache::loadState(ckpt::Decoder &d)
             d.fail("victim cache: invalid entry flags");
             return;
         }
-        entry.valid = true;
         entry.block = d.varint();
         entry.lru = d.varint();
+        if (entry.block != blockAddr(entry.block)) {
+            d.fail("victim cache: unaligned block address");
+            return;
+        }
         if (entry.lru == 0 || entry.lru > entries_.size()) {
             d.fail("victim cache: recency rank out of range");
             return;

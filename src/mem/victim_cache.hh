@@ -44,7 +44,17 @@ class VictimCache
     explicit VictimCache(VictimCacheConfig config = {});
 
     /** @return true and refresh LRU if @p addr hits. */
-    bool access(Addr addr, bool store);
+    bool
+    access(Addr addr, bool store)
+    {
+        if (Entry *entry = find(addr)) {
+            entry->lru = ++lru_clock_;
+            (store ? stats_.store_hits : stats_.load_hits).inc();
+            return true;
+        }
+        (store ? stats_.store_misses : stats_.load_misses).inc();
+        return false;
+    }
 
     /** access() without statistics (functional-warming path). */
     bool warmAccess(Addr addr);
@@ -76,12 +86,28 @@ class VictimCache
     void loadState(ckpt::Decoder &d);
 
   private:
+    /** Block of an empty entry: lines are at least 2 bytes, so no
+     *  real block address is odd. */
+    static constexpr Addr invalid_block = ~Addr{0};
+
     struct Entry
     {
-        bool valid = false;
-        Addr block = 0;
+        Addr block = invalid_block;
         std::uint64_t lru = 0;
+
+        bool valid() const { return block != invalid_block; }
     };
+
+    /** The entry holding @p addr's block, or null. */
+    Entry *
+    find(Addr addr)
+    {
+        const Addr block = blockAddr(addr);
+        for (Entry &entry : entries_)
+            if (entry.block == block)
+                return &entry;
+        return nullptr;
+    }
 
     Addr blockAddr(Addr addr) const
     {

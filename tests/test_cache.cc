@@ -46,6 +46,9 @@ TEST(CacheConfigDeath, RejectsBadGeometry)
 {
     EXPECT_EXIT(cfg(16 * KiB, 33, 1).validate(),
                 ::testing::ExitedWithCode(1), "power of two");
+    // 1-byte lines would let a tag take the empty-way sentinel.
+    EXPECT_EXIT(cfg(64, 1, 0).validate(), ::testing::ExitedWithCode(1),
+                "power of two of at least 2 bytes");
     EXPECT_EXIT(cfg(10000, 32, 1).validate(),
                 ::testing::ExitedWithCode(1), "multiple");
     EXPECT_EXIT(cfg(16 * KiB, 32, 3).validate(),

@@ -20,6 +20,7 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "checkpoint/journal.hh"
+#include "checkpoint/state_io.hh"
 #include "checkpoint/store.hh"
 #include "mem/cache.hh"
 #include "mem/column_cache.hh"
@@ -721,6 +722,52 @@ TEST(StateRoundTrip, CacheRejectsForeignGeometry)
     EXPECT_NE(d.error().find("geometry"), std::string::npos);
     // All-or-nothing: the rejected load changed nothing.
     EXPECT_EQ(stateBytes(other), before);
+}
+
+TEST(StateRoundTrip, CachesRejectAddressesNoAccessMakes)
+{
+    // An empty way is marked by an all-ones tag and an empty victim
+    // entry by an odd block address; a checkpoint that names either
+    // as resident must be refused, leaving the cache untouched.
+    Cache cache(cacheCfg(1 * KiB, 1));  // 32 sets, 1 way
+    cache.access(0x40, false);
+    const auto cache_before = stateBytes(cache);
+    ckpt::Encoder ce;
+    ce.varint(32);  // sets
+    ce.varint(1);   // ways
+    ce.varint(32);  // line size
+    ce.u8(0);       // LRU
+    ce.u64(1);      // replacement RNG
+    ckpt::putAccessStats(ce, AccessStats{});
+    ce.u8(1);       // way 0 valid and clean...
+    ce.varint(~std::uint64_t{0});  // ...with a tag no address has
+    ce.varint(0);
+    ce.varint(1);
+    for (int way = 1; way < 32; ++way)
+        ce.u8(0);
+    ckpt::Decoder cd(ce.data());
+    cache.loadState(cd);
+    EXPECT_TRUE(cd.failed());
+    EXPECT_NE(cd.error().find("tag"), std::string::npos);
+    EXPECT_EQ(stateBytes(cache), cache_before);
+
+    VictimCache vc;
+    vc.insert(0x100);
+    const auto vc_before = stateBytes(vc);
+    ckpt::Encoder ve;
+    ve.varint(16);  // entries
+    ve.varint(32);  // line size
+    ckpt::putAccessStats(ve, AccessStats{});
+    ve.u8(1);
+    ve.varint(0x101);  // not a 32-byte block address
+    ve.varint(1);
+    for (int entry = 1; entry < 16; ++entry)
+        ve.u8(0);
+    ckpt::Decoder vd(ve.data());
+    vc.loadState(vd);
+    EXPECT_TRUE(vd.failed());
+    EXPECT_NE(vd.error().find("unaligned"), std::string::npos);
+    EXPECT_EQ(stateBytes(vc), vc_before);
 }
 
 TEST(StateRoundTrip, VictimCache)

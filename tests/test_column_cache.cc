@@ -68,6 +68,16 @@ TEST(VictimCache, StatsCountHitsAndMisses)
 
 // ---- ColumnInstrCache ------------------------------------------------
 
+TEST(VictimCacheDeath, RejectsLinesTooShortForTheEmptyMarker)
+{
+    // Empty entries hold an odd block address, which 1-byte lines
+    // could produce.
+    VictimCacheConfig c;
+    c.line_size = 1;
+    EXPECT_EXIT(VictimCache vc(c), ::testing::ExitedWithCode(1),
+                "at least 2 bytes");
+}
+
 TEST(ColumnInstrCache, GeometryMatchesPaper)
 {
     ColumnCacheConfig cfg;

@@ -60,6 +60,49 @@ TEST(Numa, InterleavedPlacementWhenDisabled)
     EXPECT_EQ(m.homeOf(0x4000), 0u);
 }
 
+TEST(Numa, UntouchedPageInterleaves)
+{
+    NumaMachine m(integrated(4));
+    m.access(3, 0x100000, false);  // page 256, first touch by cpu 3
+    EXPECT_EQ(m.homeOf(0x100000), 3u);
+    // Untouched pages, beside the placed one and far from it.
+    EXPECT_EQ(m.homeOf(0x101000), 257u % 4);
+    EXPECT_EQ(m.homeOf(0xff000), 255u % 4);
+    EXPECT_EQ(m.homeOf((Addr{1} << 40) + 0x2000), 2u);
+}
+
+TEST(Numa, DescendingFirstTouchesKeepTheirHomes)
+{
+    // Pages touched top-down, 4 MiB apart: each first touch makes
+    // its placement chunk below every chunk made so far.
+    NumaMachine m(integrated(4));
+    for (unsigned i = 12; i-- > 0;)
+        m.access(i % 4, 0x10000000 + i * 4 * MiB, i % 3 == 0);
+    for (unsigned i = 0; i < 12; ++i) {
+        EXPECT_EQ(m.homeOf(0x10000000 + i * 4 * MiB), i % 4) << i;
+        // The home still hits its own data in the column buffers.
+        EXPECT_EQ(m.access(i % 4, 0x10000000 + i * 4 * MiB, false), 1u)
+            << i;
+    }
+}
+
+TEST(Numa, FarApartTouchesStayIndependent)
+{
+    NumaMachine m(integrated(4));
+    const Addr far = Addr{1} << 40;
+    m.access(1, 0x200000, false);
+    m.access(2, 0x200000 + far, true);
+    EXPECT_EQ(m.homeOf(0x200000), 1u);
+    EXPECT_EQ(m.homeOf(0x200000 + far), 2u);
+    // Two directory chunks back the two blocks, not the span.
+    EXPECT_EQ(m.directory().materialisedEntries(),
+              2 * Directory::chunk_entries);
+    EXPECT_EQ(m.access(0, 0x200000 + far, false), 80u);
+    EXPECT_EQ(m.directory().lookup(0x200000 + far).state(),
+              DirState::Shared);
+    EXPECT_EQ(m.directory().lookup(0x200000).state(), DirState::Shared);
+}
+
 TEST(Numa, LocalColdMissCostsLocalMemory)
 {
     NumaMachine m(integrated());
