@@ -165,7 +165,6 @@ Cache::invalidate(Addr addr)
         return std::nullopt;
     const Eviction ev = evictionOf(way, set);
     tags_[way] = invalid_tag;
-    ways_[way].dirty = false;
     return ev;
 }
 
@@ -173,8 +172,6 @@ void
 Cache::flush()
 {
     std::fill(tags_.begin(), tags_.end(), invalid_tag);
-    for (WayState &w : ways_)
-        w.dirty = false;
 }
 
 std::uint64_t

@@ -180,7 +180,8 @@ class Cache
     /** findWay()'s result when no way holds the tag. */
     static constexpr std::size_t no_way = ~std::size_t{0};
 
-    /** Everything about a way but its tag (kept in tags_). */
+    /** Everything about a way but its tag (kept in tags_); read
+     *  only while the way is valid, and reset when it is filled. */
     struct WayState
     {
         std::uint64_t lru = 0;
