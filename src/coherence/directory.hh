@@ -34,7 +34,6 @@ class DirEntry
      * null sentinel and 16-node systems work. */
     static constexpr unsigned max_nodes = 16;
 
-
     DirState state() const { return state_; }
 
     /** Owner node id; valid only in Modified state. */
@@ -46,7 +45,6 @@ class DirEntry
       public:
         const std::uint8_t *begin() const { return ids_; }
         const std::uint8_t *end() const { return ids_ + count_; }
-        unsigned size() const { return count_; }
         bool empty() const { return count_ == 0; }
 
       private:
