@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace memwall {
@@ -32,6 +33,24 @@ class FlatTable
   public:
     static constexpr std::uint64_t chunk_entries = std::uint64_t{1}
                                                    << ChunkBits;
+
+    FlatTable() = default;
+    // A move takes the chunks and leaves the source empty, with no
+    // last chunk pointing into memory it no longer owns.
+    FlatTable(FlatTable &&other) noexcept
+        : chunks_(std::exchange(other.chunks_, {})),
+          last_number_(std::exchange(other.last_number_, no_chunk)),
+          last_slots_(std::exchange(other.last_slots_, nullptr))
+    {
+    }
+    FlatTable &
+    operator=(FlatTable &&other) noexcept
+    {
+        chunks_ = std::exchange(other.chunks_, {});
+        last_number_ = std::exchange(other.last_number_, no_chunk);
+        last_slots_ = std::exchange(other.last_slots_, nullptr);
+        return *this;
+    }
 
     /** Element @p key, making its chunk on first touch. */
     T &
@@ -92,9 +111,12 @@ class FlatTable
         return it->slots.get();
     }
 
+    /** Never a chunk number: keys have 64 bits, chunk numbers fewer. */
+    static constexpr std::uint64_t no_chunk = ~std::uint64_t{0};
+
     std::vector<Chunk> chunks_;  ///< ascending chunk number
-    /** The chunk operator[] touched last; no chunk number is ~0. */
-    std::uint64_t last_number_ = ~std::uint64_t{0};
+    /** The chunk operator[] touched last. */
+    std::uint64_t last_number_ = no_chunk;
     T *last_slots_ = nullptr;
 };
 

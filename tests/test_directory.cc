@@ -276,6 +276,20 @@ TEST(FlatTable, GrowsBelowTheFirstChunkAndKeepsAddresses)
     }
 }
 
+TEST(FlatTable, MovedFromTableStartsEmpty)
+{
+    FlatTable<std::uint32_t, 4> a;
+    a[3] = 7;
+    FlatTable<std::uint32_t, 4> b(std::move(a));
+    EXPECT_EQ(*b.find(3), 7u);
+    // The moved-from table is empty and keeps no path into b's
+    // chunk, so touching it again starts a chunk of its own.
+    EXPECT_EQ(a.find(3), nullptr);
+    a[3] = 9;
+    EXPECT_EQ(*b.find(3), 7u);
+    EXPECT_EQ(a.chunks(), 1u);
+}
+
 TEST(FlatTable, MemoryFollowsChunksNotSpan)
 {
     FlatTable<std::uint16_t, 12> t;
