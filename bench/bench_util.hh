@@ -37,10 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
 namespace memwall::benchutil {
 
 /** Default for --jobs: one worker per hardware thread, at least 1. */
@@ -178,81 +174,6 @@ parse(int argc, char **argv,
                    std::string("unknown flag '") + argv[i] + "'");
     }
     return opt;
-}
-
-/**
- * Validate the --ckpt-dir flag value: non-empty, a directory
- * (created if missing) and writable. Anything else is a usage error
- * (exit 2) naming the path and the errno — a typo must never
- * silently disable checkpoint acceleration or scatter files into an
- * unintended place. Returns "" when the flag was not given.
- */
-inline std::string
-checkpointDirFlag(const Options &opt, const char *prog,
-                  std::initializer_list<const char *> extra_flags)
-{
-    const std::string dir = opt.extraOr("--ckpt-dir", "");
-    if (opt.extra.find("--ckpt-dir") == opt.extra.end())
-        return "";
-    if (dir.empty())
-        usageError(prog, extra_flags, "--ckpt-dir: empty path");
-    struct stat st;
-    if (::stat(dir.c_str(), &st) != 0) {
-        if (errno != ENOENT)
-            usageError(prog, extra_flags,
-                       "--ckpt-dir: cannot stat '" + dir +
-                           "': " + std::strerror(errno));
-        if (::mkdir(dir.c_str(), 0755) != 0)
-            usageError(prog, extra_flags,
-                       "--ckpt-dir: cannot create '" + dir +
-                           "': " + std::strerror(errno));
-    } else if (!S_ISDIR(st.st_mode)) {
-        usageError(prog, extra_flags,
-                   "--ckpt-dir: '" + dir + "' is not a directory");
-    }
-    if (::access(dir.c_str(), W_OK | X_OK) != 0)
-        usageError(prog, extra_flags,
-                   "--ckpt-dir: '" + dir +
-                       "' is not writable: " + std::strerror(errno));
-    return dir;
-}
-
-/**
- * Validate the --resume flag value (sweep-journal path): non-empty;
- * an existing path must be a regular file, and the containing
- * directory must be writable so the journal can be created and
- * fsynced. Usage error (exit 2) otherwise. Returns "" when the flag
- * was not given.
- */
-inline std::string
-resumePathFlag(const Options &opt, const char *prog,
-               std::initializer_list<const char *> extra_flags)
-{
-    const std::string path = opt.extraOr("--resume", "");
-    if (opt.extra.find("--resume") == opt.extra.end())
-        return "";
-    if (path.empty())
-        usageError(prog, extra_flags, "--resume: empty path");
-    struct stat st;
-    if (::stat(path.c_str(), &st) == 0) {
-        if (!S_ISREG(st.st_mode))
-            usageError(prog, extra_flags,
-                       "--resume: '" + path +
-                           "' is not a regular file");
-    } else if (errno != ENOENT) {
-        usageError(prog, extra_flags,
-                   "--resume: cannot stat '" + path +
-                       "': " + std::strerror(errno));
-    }
-    const std::size_t slash = path.find_last_of('/');
-    const std::string parent = slash == std::string::npos
-        ? std::string(".")
-        : (slash == 0 ? std::string("/") : path.substr(0, slash));
-    if (::access(parent.c_str(), W_OK | X_OK) != 0)
-        usageError(prog, extra_flags,
-                   "--resume: directory '" + parent +
-                       "' is not writable: " + std::strerror(errno));
-    return path;
 }
 
 /** Split @p list on commas ("1,2,3" -> {"1","2","3"}). */

@@ -8,13 +8,7 @@
  * report, so a bench and mw-server run the same plan.
  *
  * Flags beyond bench_util's core set:
- *   fig7, fig8     --sample PLAN; --resume PATH, a crash-safe sweep
- *                  journal keyed by the run (a killed run rerun with
- *                  the same flags replays its committed points to
- *                  byte-identical output); --ckpt-dir DIR, per-unit
- *                  warm-state checkpoints, only with a stratified
- *                  --sample plan (missing or corrupt files degrade
- *                  to functional warming);
+ *   fig7, fig8     --sample PLAN;
  *   fig13..fig17   --sample PLAN; --nodes N, one processor count.
  * A flag the experiment does not read is a usage error (exit 2), by
  * the rule mw-server applies to the same request field.
@@ -31,8 +25,6 @@
 
 #include "bench_util.hh"
 #include "harness/parallel_sweep.hh"
-#include "harness/sweep_resume.hh"
-#include "resume_util.hh"
 #include "server/catalog.hh"
 
 namespace memwall::benchutil {
@@ -41,7 +33,7 @@ namespace memwall::benchutil {
 using CatalogResults = std::vector<std::shared_ptr<void>>;
 
 inline constexpr std::initializer_list<const char *> missrate_flags = {
-    "--sample", "--ckpt-dir", "--resume"};
+    "--sample"};
 inline constexpr std::initializer_list<const char *> splash_flags = {
     "--sample", "--nodes"};
 
@@ -77,16 +69,6 @@ runCatalogBench(server::Experiment exp, const std::string &title,
             usageError(prog, flags, why);
         req.has_sample = true;
     }
-    // Only a stratified plan reads the store; refuse the flag before
-    // checkpointDirFlag() creates the directory.
-    if (opt.extra.count("--ckpt-dir") != 0 &&
-        (!req.has_sample ||
-         req.sample.scheme != SampleScheme::Stratified))
-        usageError(prog, flags,
-                   "--ckpt-dir needs a stratified --sample plan "
-                   "(mode=strat)");
-    const std::string ckpt_dir = checkpointDirFlag(opt, prog, flags);
-    const std::string resume_path = resumePathFlag(opt, prog, flags);
     const std::string nodes = opt.extraOr("--nodes", "");
     if (!nodes.empty()) {
         req.nodes = parseU64Flag(nodes.c_str(), "--nodes", prog, flags);
@@ -102,20 +84,11 @@ runCatalogBench(server::Experiment exp, const std::string &title,
     if (!opt.json())
         banner(title, opt);
 
-    std::unique_ptr<ckpt::CheckpointStore> store;
-    if (req.has_sample)
-        store = makeMissRateStore(ckpt_dir, req.sample);
-    server::CatalogPlan plan =
-        server::buildCatalogPlan(req, "", store.get());
+    server::CatalogPlan plan = server::buildCatalogPlan(req, "");
 
     // Commits land in plan order whichever worker finishes first, so
     // the results match a serial run for every --jobs.
-    ckpt::SweepJournal journal;
     ParallelSweep<std::shared_ptr<void>> sweep(opt.jobs, opt.seed);
-    if (!resume_path.empty()) {
-        openJournal(journal, resume_path, server::runKeyHash(req));
-        attachSweepJournal(sweep, journal, plan.encode, plan.decode);
-    }
     CatalogResults results;
     for (server::CatalogPoint &point : plan.points)
         sweep.submit(
@@ -129,8 +102,6 @@ runCatalogBench(server::Experiment exp, const std::string &title,
         std::fputs(plan.render(results).c_str(), stdout);
     else
         text(req, results);
-    if (store)
-        printStoreCounters(*store);
     return check && !check(results) ? 1 : 0;
 }
 

@@ -5,8 +5,8 @@
  * direct-mapped caches (32-byte lines) of 8/16/32/64 KB.
  *
  * The points and the --format json document are the experiment
- * catalog's (see catalog_driver.hh, which also documents --sample,
- * --resume and --ckpt-dir); this file holds the text report.
+ * catalog's (see catalog_driver.hh, which also documents --sample);
+ * this file holds the text report.
  */
 
 #include <iostream>

@@ -7,8 +7,8 @@
  * paper's stacked bars.
  *
  * The points and the --format json document are the experiment
- * catalog's (see catalog_driver.hh, which also documents --sample,
- * --resume and --ckpt-dir); this file holds the text report.
+ * catalog's (see catalog_driver.hh, which also documents --sample);
+ * this file holds the text report.
  */
 
 #include <iostream>

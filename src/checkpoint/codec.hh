@@ -1,10 +1,11 @@
 /**
  * @file
- * Binary codec for checkpoint serialization.
+ * Binary codec for on-disk records (the MWSJ journal behind
+ * mw-server's result cache) and the hashes that key them.
  *
  * Every value is written little-endian with explicit widths so a
- * checkpoint produced on one host loads bit-identically on another.
- * The Decoder is the load-bearing piece: checkpoints come from disk
+ * record produced on one host loads bit-identically on another.
+ * The Decoder is the load-bearing piece: records come from disk
  * and may be truncated, bit-flipped or maliciously short, so every
  * read is bounds-checked and failure is recoverable — the decoder
  * latches the first error and all subsequent reads return zeros.
@@ -28,6 +29,16 @@ namespace ckpt {
 /** CRC-32 (IEEE 802.3, reflected) over @p len bytes. */
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t crc = 0);
+
+/** Four-character file tags, e.g. fourcc("MWSJ"). */
+constexpr std::uint32_t
+fourcc(const char (&s)[5])
+{
+    return static_cast<std::uint32_t>(s[0]) |
+           static_cast<std::uint32_t>(s[1]) << 8 |
+           static_cast<std::uint32_t>(s[2]) << 16 |
+           static_cast<std::uint32_t>(s[3]) << 24;
+}
 
 /** FNV-1a 64-bit offset basis. */
 constexpr std::uint64_t fnv_basis = 0xcbf29ce484222325ULL;

@@ -6,8 +6,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "checkpoint/checkpoint.hh"
 #include "checkpoint/codec.hh"
+#include "checkpoint/file_io.hh"
 
 namespace memwall {
 namespace ckpt {
@@ -86,8 +86,8 @@ SweepJournal::open(const std::string &path, std::uint64_t run_hash,
             torn_bytes_ = scan->torn_bytes;
         } else {
             // Present but not ours: a different run (or garbage).
-            // Resuming it would splice foreign results into this
-            // sweep, so start over instead.
+            // Replaying it would splice foreign results into this
+            // run, so start over instead.
             discarded_foreign_ = true;
         }
     }
@@ -142,13 +142,6 @@ SweepJournal::open(const std::string &path, std::uint64_t run_hash,
     return true;
 }
 
-const std::vector<std::uint8_t> *
-SweepJournal::lookup(std::size_t index) const
-{
-    const auto it = records_.find(index);
-    return it == records_.end() ? nullptr : &it->second;
-}
-
 bool
 SweepJournal::append(std::size_t index,
                      const std::vector<std::uint8_t> &payload,
@@ -180,8 +173,8 @@ SweepJournal::append(std::size_t index,
     }
     if (::fsync(fd_) != 0) {
         // The bytes are in the page cache but not durably on disk:
-        // a crash could tear this record. Report it — resumability
-        // is the whole point of the journal.
+        // a crash could tear this record. Report it — surviving a
+        // crash is the whole point of the journal.
         if (why)
             *why = errnoMessage("cannot fsync journal", path_);
         return false;

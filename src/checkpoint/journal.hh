@@ -1,18 +1,19 @@
 /**
  * @file
- * Append-only sweep journal for resumable figure/table runs.
+ * Append-only journal of self-checking records (MWSJ).
  *
- * A ParallelSweep writes one record per committed point; an
- * interrupted run reopens the journal with --resume and replays the
- * recorded results instead of recomputing them. The format is
+ * mw-server's result cache writes one record per computed result
+ * (<cache-dir>/results.mwsj) and replays them at startup, so a
+ * SIGKILL'd server restarts with its results intact. The format is
  * deliberately dumb — a header plus self-checking records — because
  * the failure mode it must survive is SIGKILL mid-append:
  *
  *     magic "MWSJ"   u32
  *     version        u32
- *     run hash       u64   (FNV-1a over plan/config/flags)
+ *     run hash       u64   (FNV-1a over whatever the writer keys
+ *                           its records by, e.g. the build)
  *     records:
- *       point index  u64
+ *       record index u64
  *       payload len  u64
  *       payload CRC  u32
  *       payload bytes
@@ -45,7 +46,7 @@ struct JournalScan
      *  below the header was scanned. */
     bool header_ok = false;
     std::uint64_t run_hash = 0;
-    /** Intact records, keyed by point index. */
+    /** Intact records, keyed by record index. */
     std::map<std::size_t, std::vector<std::uint8_t>> records;
     std::size_t valid_bytes = 0; ///< header + intact records
     std::size_t torn_bytes = 0;  ///< everything after them
@@ -70,22 +71,19 @@ class SweepJournal
 
     /**
      * Open (or create) the journal at @p path for run @p run_hash.
-     * Existing valid records are loaded for lookup(); a torn tail is
-     * truncated; a foreign run hash discards the old contents.
+     * Existing valid records are loaded into records(); a torn tail
+     * is truncated; a foreign run hash discards the old contents.
      * Returns false with @p why on I/O errors.
      */
     bool open(const std::string &path, std::uint64_t run_hash,
               std::string *why = nullptr);
 
-    /** Recorded payload for @p index, or nullptr if not journaled. */
-    const std::vector<std::uint8_t> *lookup(std::size_t index) const;
-
     /**
-     * Append one record and fsync it. Not thread-safe: callers
-     * append from the sweep's commit path, which is ordered. Any
-     * failure — including a failed fsync, which means the record may
-     * not survive a crash — returns false with @p why naming the
-     * journal path and the errno.
+     * Append one record and fsync it. Not thread-safe: the caller
+     * serialises its appends. Any failure — including a failed
+     * fsync, which means the record may not survive a crash —
+     * returns false with @p why naming the journal path and the
+     * errno.
      */
     bool append(std::size_t index,
                 const std::vector<std::uint8_t> &payload,
@@ -94,9 +92,9 @@ class SweepJournal
     void close();
 
     /**
-     * All live records, keyed by point index. The map view is what a
-     * replay consumer (e.g. the server's result cache) walks at
-     * startup to rebuild state from a crash-surviving journal.
+     * All live records, keyed by record index. The server's result
+     * cache walks this map at startup to rebuild its memo table from
+     * a crash-surviving journal.
      */
     const std::map<std::size_t, std::vector<std::uint8_t>> &
     records() const

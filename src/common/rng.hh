@@ -62,15 +62,6 @@ class Rng
      */
     Rng split();
 
-    /**
-     * Raw generator state, exposed so checkpoints can round-trip
-     * the stream position exactly. setState() with all-zero words
-     * would wedge xoshiro; restore code must only feed back what
-     * state() produced.
-     */
-    const std::array<std::uint64_t, 4> &state() const { return s_; }
-    void setState(const std::array<std::uint64_t, 4> &s) { s_ = s; }
-
   private:
     std::uint64_t next();
 

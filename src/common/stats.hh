@@ -24,8 +24,6 @@ class Counter
 
     void inc(std::uint64_t n = 1) { value_ += n; }
     void reset() { value_ = 0; }
-    /** Overwrite the count; for checkpoint restore only. */
-    void set(std::uint64_t v) { value_ = v; }
     std::uint64_t value() const { return value_; }
 
   private:
@@ -60,32 +58,6 @@ class SampleStat
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
     double total() const { return sum_; }
-
-    /** Full accumulator state, for checkpoint round-trips. */
-    struct Snapshot
-    {
-        std::uint64_t n = 0;
-        double mean = 0.0;
-        double m2 = 0.0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-    };
-
-    Snapshot snapshot() const
-    {
-        return Snapshot{n_, mean_, m2_, sum_, min_, max_};
-    }
-
-    void restore(const Snapshot &s)
-    {
-        n_ = s.n;
-        mean_ = s.mean;
-        m2_ = s.m2;
-        sum_ = s.sum;
-        min_ = s.min;
-        max_ = s.max;
-    }
 
   private:
     std::uint64_t n_ = 0;

@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.hh"
 #include "harness/thread_pool.hh"
 
 namespace memwall {
@@ -84,13 +83,6 @@ class ParallelSweep
   public:
     using PointFn = std::function<Result(const PointContext &)>;
     using CommitFn = std::function<void(const PointContext &, Result)>;
-    /** Memoization probe: fill @p out and return true to skip the
-     * point function entirely (resume from a journal). */
-    using MemoLookupFn = std::function<bool(std::size_t, Result &)>;
-    /** Called on the commit thread, in submission order, for every
-     * computed (non-memoized) result just before its commit. */
-    using MemoStoreFn =
-        std::function<void(std::size_t, const Result &)>;
 
     /**
      * @param jobs      worker count; 1 = run serially inline, 0 = one
@@ -112,22 +104,6 @@ class ParallelSweep
     ParallelSweep &operator=(const ParallelSweep &) = delete;
 
     /**
-     * Attach resume memoization. A lookup hit replaces running the
-     * point (its commit still runs, in order, with the memoized
-     * result); every computed result is handed to @p store on the
-     * commit thread in submission order — the crash-safe place to
-     * journal it. Must be set before the first submit().
-     */
-    void
-    setMemo(MemoLookupFn lookup, MemoStoreFn store)
-    {
-        MW_ASSERT(next_index_ == 0,
-                  "memo hooks must be set before the first point");
-        memo_lookup_ = std::move(lookup);
-        memo_store_ = std::move(store);
-    }
-
-    /**
      * Register point number index() and start it (or, serially, run
      * it to completion right here). Earlier points whose results have
      * arrived are committed before submit returns, so output streams
@@ -140,19 +116,8 @@ class ParallelSweep
         ctx.index = next_index_++;
         ctx.seed = pointSeed(base_seed_, ctx.index);
 
-        Result memoized{};
-        const bool from_memo =
-            memo_lookup_ && memo_lookup_(ctx.index, memoized);
-
         if (!pool_) {
-            if (from_memo) {
-                commit(ctx, std::move(memoized));
-            } else {
-                Result r = fn(ctx);
-                if (memo_store_)
-                    memo_store_(ctx.index, r);
-                commit(ctx, std::move(r));
-            }
+            commit(ctx, fn(ctx));
             ++committed_;
             return;
         }
@@ -160,25 +125,18 @@ class ParallelSweep
         auto slot = std::make_unique<Slot>();
         slot->ctx = ctx;
         slot->commit = std::move(commit);
-        slot->from_memo = from_memo;
-        if (from_memo) {
-            slot->result = std::move(memoized);
-            slot->done = true;
-        }
         Slot *raw = slot.get();
         {
             std::lock_guard<std::mutex> lock(mu_);
             slots_.push_back(std::move(slot));
         }
-        if (!from_memo) {
-            pool_->submit([this, raw, fn = std::move(fn)] {
-                Result r = fn(raw->ctx);
-                std::lock_guard<std::mutex> lock(mu_);
-                raw->result = std::move(r);
-                raw->done = true;
-                done_cv_.notify_all();
-            });
-        }
+        pool_->submit([this, raw, fn = std::move(fn)] {
+            Result r = fn(raw->ctx);
+            std::lock_guard<std::mutex> lock(mu_);
+            raw->result = std::move(r);
+            raw->done = true;
+            done_cv_.notify_all();
+        });
         drainReady(/*wait=*/false);
     }
 
@@ -206,7 +164,6 @@ class ParallelSweep
         CommitFn commit;
         Result result{};
         bool done = false;  // guarded by mu_
-        bool from_memo = false;
     };
 
     /**
@@ -233,11 +190,7 @@ class ParallelSweep
             }
             // Commit outside the lock: commit functions may be slow
             // (formatting) and must never deadlock against workers
-            // finishing later points. The memo store runs here too,
-            // so journal appends happen in submission order on the
-            // caller's thread.
-            if (!slot->from_memo && memo_store_)
-                memo_store_(slot->ctx.index, slot->result);
+            // finishing later points.
             slot->commit(slot->ctx, std::move(slot->result));
             std::lock_guard<std::mutex> lock(mu_);
             ++committed_;
@@ -246,8 +199,6 @@ class ParallelSweep
     }
 
     std::uint64_t base_seed_;
-    MemoLookupFn memo_lookup_;
-    MemoStoreFn memo_store_;
     std::size_t next_index_ = 0;
     std::size_t committed_ = 0;
     std::unique_ptr<ThreadPool> pool_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -180,106 +179,6 @@ Cache::residentLines() const
     return static_cast<std::uint64_t>(
         std::count_if(tags_.begin(), tags_.end(),
                       [](Addr tag) { return tag != invalid_tag; }));
-}
-
-void
-Cache::saveState(ckpt::Encoder &e) const
-{
-    e.varint(sets_);
-    e.varint(assoc_);
-    e.varint(config_.line_size);
-    e.u8(config_.repl == ReplPolicy::Random ? 1 : 0);
-    e.u64(rng_state_);
-    ckpt::putAccessStats(e, stats_);
-
-    // Rank the valid lines by recency so the serialized form is
-    // independent of how large the LRU clock had grown.
-    std::vector<std::uint32_t> by_recency;
-    for (std::uint32_t i = 0; i < tags_.size(); ++i)
-        if (tags_[i] != invalid_tag)
-            by_recency.push_back(i);
-    std::sort(by_recency.begin(), by_recency.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return ways_[a].lru < ways_[b].lru;
-              });
-    std::vector<std::uint64_t> rank(tags_.size(), 0);
-    for (std::uint32_t r = 0; r < by_recency.size(); ++r)
-        rank[by_recency[r]] = r + 1;
-
-    for (std::uint32_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] == invalid_tag) {
-            e.u8(0);
-            continue;
-        }
-        const WayState &way = ways_[i];
-        e.u8(1u | (way.dirty ? 2u : 0u));
-        e.varint(tags_[i]);
-        e.varint(way.last_sub_block);
-        e.varint(rank[i]);
-    }
-}
-
-void
-Cache::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t sets = d.varint();
-    const std::uint64_t assoc = d.varint();
-    const std::uint64_t line_size = d.varint();
-    const std::uint8_t repl = d.u8();
-    if (d.failed())
-        return;
-    if (sets != sets_ || assoc != assoc_ ||
-        line_size != config_.line_size ||
-        repl != (config_.repl == ReplPolicy::Random ? 1 : 0)) {
-        d.fail("cache '" + config_.name +
-               "': checkpoint geometry mismatch");
-        return;
-    }
-
-    const std::uint64_t rng = d.u64();
-    AccessStats stats;
-    ckpt::getAccessStats(d, stats);
-
-    std::vector<Addr> tags(tags_.size(), invalid_tag);
-    std::vector<WayState> ways(ways_.size());
-    std::uint64_t valid = 0;
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        const std::uint8_t flags = d.u8();
-        if (d.failed())
-            return;
-        if (!(flags & 1u)) {
-            if (flags != 0) {
-                d.fail("cache '" + config_.name +
-                       "': invalid way flags");
-                return;
-            }
-            continue;
-        }
-        WayState &way = ways[i];
-        way.dirty = (flags & 2u) != 0;
-        tags[i] = d.varint();
-        way.last_sub_block = static_cast<std::uint32_t>(d.varint());
-        way.lru = d.varint();
-        if (tags[i] > invalid_tag >> tag_shift_) {
-            d.fail("cache '" + config_.name +
-                   "': tag wider than the address");
-            return;
-        }
-        if (way.lru == 0 || way.lru > tags.size()) {
-            d.fail("cache '" + config_.name +
-                   "': recency rank out of range");
-            return;
-        }
-        ++valid;
-    }
-    if (d.failed())
-        return;
-
-    tags_ = std::move(tags);
-    ways_ = std::move(ways);
-    lru_clock_ = valid;
-    rng_state_ = rng ? rng : 1;
-    stats_ = stats;
 }
 
 } // namespace memwall

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -151,24 +150,6 @@ class Cache
 
     /** Number of valid lines currently resident. */
     std::uint64_t residentLines() const;
-
-    /**
-     * Serialize a geometry guard, every way of every set in way
-     * order (positions matter: Random replacement indexes ways
-     * directly), the replacement RNG and the statistics. The raw LRU
-     * clock is not stored; valid lines carry their global recency
-     * rank instead, which loadState() replays — only the relative
-     * order is ever compared, so victim choices are preserved while
-     * the serialized form stays compact and canonical.
-     */
-    void saveState(ckpt::Encoder &e) const;
-
-    /**
-     * All-or-nothing restore: on any decode failure or geometry
-     * mismatch the decoder is failed and the cache is left exactly
-     * as it was.
-     */
-    void loadState(ckpt::Decoder &d);
 
   private:
     /**

@@ -1,6 +1,5 @@
 #include "mem/column_cache.hh"
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -150,49 +149,6 @@ ColumnDataCache::resetStats()
     columns_.resetStats();
     victim_.resetStats();
     stats_.reset();
-}
-
-void
-ColumnDataCache::saveState(ckpt::Encoder &e) const
-{
-    e.u8(config_.victim_enabled ? 1 : 0);
-    columns_.saveState(e);
-    if (config_.victim_enabled)
-        victim_.saveState(e);
-    ckpt::putAccessStats(e, stats_);
-    e.u8(last_eviction_dirty_ ? 1 : 0);
-}
-
-void
-ColumnDataCache::loadState(ckpt::Decoder &d)
-{
-    const std::uint8_t victim_enabled = d.u8();
-    if (d.failed())
-        return;
-    if (victim_enabled != (config_.victim_enabled ? 1 : 0)) {
-        d.fail("column dcache: victim-cache presence mismatch");
-        return;
-    }
-    // Decode into copies so a corrupt tail cannot leave this cache
-    // half-restored.
-    Cache columns = columns_;
-    VictimCache victim = victim_;
-    columns.loadState(d);
-    if (config_.victim_enabled)
-        victim.loadState(d);
-    AccessStats stats;
-    ckpt::getAccessStats(d, stats);
-    const std::uint8_t last = d.u8();
-    if (d.failed())
-        return;
-    if (last > 1) {
-        d.fail("column dcache: invalid eviction flag");
-        return;
-    }
-    columns_ = std::move(columns);
-    victim_ = std::move(victim);
-    stats_ = stats;
-    last_eviction_dirty_ = last != 0;
 }
 
 } // namespace memwall

@@ -77,9 +77,6 @@ class ColumnInstrCache
     void flush() { cache_.flush(); }
     void resetStats() { cache_.resetStats(); }
 
-    void saveState(ckpt::Encoder &e) const { cache_.saveState(e); }
-    void loadState(ckpt::Decoder &d) { cache_.loadState(d); }
-
   private:
     Cache cache_;
 };
@@ -167,13 +164,6 @@ class ColumnDataCache
     const AccessStats &victimStats() const { return victim_.stats(); }
 
     const ColumnCacheConfig &config() const { return config_; }
-
-    /** Serialize columns, victim cache, aggregate stats and the
-     *  last-eviction flag. */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     ColumnCacheConfig config_;

@@ -1,9 +1,5 @@
 #include "mem/victim_cache.hh"
 
-#include <algorithm>
-#include <vector>
-
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {
@@ -76,82 +72,6 @@ VictimCache::flush()
 {
     for (auto &entry : entries_)
         entry.block = invalid_block;
-}
-
-void
-VictimCache::saveState(ckpt::Encoder &e) const
-{
-    e.varint(config_.entries);
-    e.varint(config_.line_size);
-    ckpt::putAccessStats(e, stats_);
-
-    std::vector<std::uint32_t> by_recency;
-    for (std::uint32_t i = 0; i < entries_.size(); ++i)
-        if (entries_[i].valid())
-            by_recency.push_back(i);
-    std::sort(by_recency.begin(), by_recency.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return entries_[a].lru < entries_[b].lru;
-              });
-    std::vector<std::uint64_t> rank(entries_.size(), 0);
-    for (std::uint32_t r = 0; r < by_recency.size(); ++r)
-        rank[by_recency[r]] = r + 1;
-
-    for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-        const Entry &entry = entries_[i];
-        e.u8(entry.valid() ? 1 : 0);
-        if (entry.valid()) {
-            e.varint(entry.block);
-            e.varint(rank[i]);
-        }
-    }
-}
-
-void
-VictimCache::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t entries = d.varint();
-    const std::uint64_t line_size = d.varint();
-    if (d.failed())
-        return;
-    if (entries != config_.entries || line_size != config_.line_size) {
-        d.fail("victim cache: checkpoint geometry mismatch");
-        return;
-    }
-
-    AccessStats stats;
-    ckpt::getAccessStats(d, stats);
-
-    std::vector<Entry> loaded(entries_.size());
-    std::uint64_t valid = 0;
-    for (Entry &entry : loaded) {
-        const std::uint8_t flag = d.u8();
-        if (d.failed())
-            return;
-        if (flag == 0)
-            continue;
-        if (flag != 1) {
-            d.fail("victim cache: invalid entry flags");
-            return;
-        }
-        entry.block = d.varint();
-        entry.lru = d.varint();
-        if (entry.block != blockAddr(entry.block)) {
-            d.fail("victim cache: unaligned block address");
-            return;
-        }
-        if (entry.lru == 0 || entry.lru > entries_.size()) {
-            d.fail("victim cache: recency rank out of range");
-            return;
-        }
-        ++valid;
-    }
-    if (d.failed())
-        return;
-
-    entries_ = std::move(loaded);
-    lru_clock_ = valid;
-    stats_ = stats;
 }
 
 } // namespace memwall

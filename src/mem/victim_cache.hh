@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -77,13 +76,6 @@ class VictimCache
     const VictimCacheConfig &config() const { return config_; }
     const AccessStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
-
-    /** Serialize entries (position order, recency as ranks) and
-     *  statistics; see Cache::saveState for the rank rationale. */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     /** Block of an empty entry: lines are at least 2 bytes, so no

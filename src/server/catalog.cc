@@ -26,26 +26,8 @@ keyf(const char *fmt, Args... args)
     return buf;
 }
 
-/** Journal plan results of type @p T with its encodeResult/
- *  decodeResult pair. */
-template <typename T>
-void
-setJournalCodec(CatalogPlan &plan)
-{
-    plan.encode = [](ckpt::Encoder &e, const std::shared_ptr<void> &r) {
-        encodeResult(e, *std::static_pointer_cast<T>(r));
-    };
-    plan.decode = [](ckpt::Decoder &d, std::shared_ptr<void> &r) {
-        auto decoded = std::make_shared<T>();
-        if (!decodeResult(d, *decoded))
-            return false;
-        r = std::move(decoded);
-        return true;
-    };
-}
-
 CatalogPlan
-missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
+missRatePlan(const RunRequest &run)
 {
     const MissRateParams params =
         resolveMissRateParams(run.quick, run.refs);
@@ -76,10 +58,9 @@ missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
         p.label = "workload '" + w.name + "'";
         const SpecWorkload *wp = &w;
         if (sampled)
-            p.compute = [wp, params, plan, store] {
+            p.compute = [wp, params, plan] {
                 return std::make_shared<SampledWorkloadMissRates>(
-                    measureMissRatesSampled(*wp, params, plan,
-                                            store));
+                    measureMissRatesSampled(*wp, params, plan));
             };
         else
             p.compute = [wp, params] {
@@ -88,21 +69,18 @@ missRatePlan(const RunRequest &run, ckpt::CheckpointStore *store)
             };
         out.points.push_back(std::move(p));
     }
-    if (sampled) {
+    if (sampled)
         out.render =
             [fig](const std::vector<std::shared_ptr<void>> &r) {
                 return missRateFigureSampledJson(
                     fig, gatherResults<SampledWorkloadMissRates>(r));
             };
-        setJournalCodec<SampledWorkloadMissRates>(out);
-    } else {
+    else
         out.render =
             [fig](const std::vector<std::shared_ptr<void>> &r) {
                 return missRateFigureJson(
                     fig, gatherResults<WorkloadMissRates>(r));
             };
-        setJournalCodec<WorkloadMissRates>(out);
-    }
     return out;
 }
 
@@ -221,14 +199,13 @@ splashPlan(const RunRequest &run)
 
 CatalogPlan
 buildCatalogPlan(const RunRequest &run,
-                 const std::string &fault_scope,
-                 ckpt::CheckpointStore *store)
+                 const std::string &fault_scope)
 {
     CatalogPlan plan;
     switch (run.experiment) {
     case Experiment::Fig7:
     case Experiment::Fig8:
-        plan = missRatePlan(run, store);
+        plan = missRatePlan(run);
         break;
     case Experiment::Table1:
         plan = table1Plan(run);

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "common/logging.hh"
 #include "server/protocol.hh"
 
@@ -62,13 +61,6 @@ struct CatalogPlan
     std::function<std::string(
         const std::vector<std::shared_ptr<void>> &)>
         render;
-    /** Sweep-journal codec of one point result, set for the
-     *  experiments whose benches take --resume (fig7/fig8); decode
-     *  returns false on a malformed payload. */
-    std::function<void(ckpt::Encoder &, const std::shared_ptr<void> &)>
-        encode;
-    std::function<bool(ckpt::Decoder &, std::shared_ptr<void> &)>
-        decode;
 };
 
 /**
@@ -76,14 +68,10 @@ struct CatalogPlan
  * must have passed parseRequest() validation; @p fault_scope is
  * appended to every unit key when non-empty (the server passes the
  * fault-suffixed canonical key so fault-injected units are never
- * shared). A non-null @p store accelerates sampled fig7/fig8 units
- * with per-unit warm-state checkpoints (see
- * measureMissRatesSampled()); results, and so unit keys, are the
- * same with or without it.
+ * shared).
  */
 CatalogPlan buildCatalogPlan(const RunRequest &run,
-                             const std::string &fault_scope,
-                             ckpt::CheckpointStore *store = nullptr);
+                             const std::string &fault_scope);
 
 /** Downcast erased point results (all non-null) to their type. */
 template <typename T>

@@ -3,7 +3,7 @@
  * Strict JSON parser for the experiment service wire protocol.
  *
  * Requests arrive from arbitrary clients over a socket, so the
- * parser is written like the checkpoint decoder: bounds-checked
+ * parser is written like ckpt::Decoder: bounds-checked
  * everywhere, depth-capped, no recursion on attacker-controlled
  * nesting beyond the cap, and *strict* — trailing junk, duplicate
  * object keys, unpaired surrogates and bare control characters are

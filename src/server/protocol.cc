@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "checkpoint/codec.hh"
 #include "common/json_text.hh"
 #include "server/json.hh"
 #include "workloads/spec_tables.hh"
@@ -412,12 +411,6 @@ canonicalRunKey(const RunRequest &run)
     }
     }
     return buf;
-}
-
-std::uint64_t
-runKeyHash(const RunRequest &run)
-{
-    return ckpt::fnv1a64(canonicalRunKey(run));
 }
 
 std::string

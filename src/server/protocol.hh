@@ -169,9 +169,6 @@ bool validateRun(const RunRequest &run, ErrorCode &code,
  */
 std::string canonicalRunKey(const RunRequest &run);
 
-/** FNV-1a of canonicalRunKey — the cache/dedup key. */
-std::uint64_t runKeyHash(const RunRequest &run);
-
 /**
  * Collapse a raw `git describe --always --dirty` string into a build
  * id that never aliases distinct code. @p source_digest is a hash of

@@ -8,9 +8,9 @@
  * hash of the canonical run key, the key itself and the result
  * bytes. A SIGKILL'd server replays the journal at startup and
  * resumes with its memo table intact; a torn tail is truncated
- * exactly as for a resumable sweep. The journal's run hash covers
- * the git describe, so a rebuilt binary discards results computed by
- * different code instead of serving them. `mwckpt journal` lists
+ * away. The journal's run hash covers the git describe, so a rebuilt
+ * binary discards results computed by different code instead of
+ * serving them. `mwckpt journal` lists
  * the records without writing to the file, so it is safe to run
  * against a live server's cache directory.
  *

@@ -1,9 +1,6 @@
 #include "trace/synthetic.hh"
 
 #include <algorithm>
-#include <cstring>
-
-#include "checkpoint/state_io.hh"
 
 #include "common/logging.hh"
 
@@ -317,119 +314,6 @@ std::uint64_t
 SyntheticWorkload::generate(std::uint64_t max_refs, const RefSink &sink)
 {
     return generateInto(max_refs, sink);
-}
-
-std::uint64_t
-syntheticSpecHash(const SyntheticSpec &spec)
-{
-    using ckpt::fnvMix;
-    auto mixDouble = [](std::uint64_t h, double v) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        return fnvMix(h, bits);
-    };
-    std::uint64_t h = ckpt::fnv1a64(spec.name);
-    h = fnvMix(h, spec.seed);
-    h = mixDouble(h, spec.refs_per_instr);
-    h = fnvMix(h, spec.routines.size());
-    for (const CodeRoutine &r : spec.routines) {
-        h = fnvMix(h, r.base);
-        h = fnvMix(h, r.length);
-        h = mixDouble(h, r.weight);
-        h = mixDouble(h, r.mean_repeats);
-        h = fnvMix(h, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(r.call_target)));
-    }
-    h = fnvMix(h, spec.streams.size());
-    for (const DataStream &s : spec.streams) {
-        h = fnvMix(h, static_cast<std::uint64_t>(s.kind));
-        h = fnvMix(h, s.base);
-        h = fnvMix(h, s.size);
-        h = fnvMix(h, static_cast<std::uint64_t>(s.stride));
-        h = mixDouble(h, s.weight);
-        h = mixDouble(h, s.store_frac);
-        h = fnvMix(h, s.access_size);
-        h = fnvMix(h, s.reuse);
-        h = fnvMix(h, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(s.group)));
-    }
-    return h;
-}
-
-void
-SyntheticWorkload::saveState(ckpt::Encoder &e) const
-{
-    e.u64(syntheticSpecHash(spec_));
-    ckpt::putRng(e, rng_);
-    e.varint(cur_routine_);
-    e.varint(cur_offset_);
-    e.varint(repeats_left_);
-    // call_return_ is -1 or a routine index; bias by one so the
-    // varint stays non-negative.
-    e.varint(static_cast<std::uint64_t>(call_return_ + 1));
-    for (const std::uint64_t cursor : cursors_)
-        e.varint(cursor);
-    for (const std::uint32_t reuse : reuse_left_)
-        e.varint(reuse);
-    // groups_ iterates in key order, so the bytes are canonical.
-    for (const auto &[id, group] : groups_) {
-        e.varint(group.cursor);
-        e.varint(group.rr);
-        e.varint(group.reuse_left);
-    }
-}
-
-void
-SyntheticWorkload::loadState(ckpt::Decoder &d)
-{
-    const std::uint64_t hash = d.u64();
-    if (d.failed())
-        return;
-    if (hash != syntheticSpecHash(spec_)) {
-        d.fail("workload '" + spec_.name +
-               "': checkpoint is for a different spec");
-        return;
-    }
-
-    Rng rng = rng_;
-    ckpt::getRng(d, rng);
-    const std::uint64_t cur_routine = d.varint();
-    const std::uint64_t cur_offset = d.varint();
-    const std::uint64_t repeats_left = d.varint();
-    const std::uint64_t call_return_biased = d.varint();
-    if (d.failed())
-        return;
-    if (cur_routine >= spec_.routines.size() ||
-        call_return_biased > spec_.routines.size()) {
-        d.fail("workload '" + spec_.name +
-               "': routine index out of range");
-        return;
-    }
-
-    std::vector<std::uint64_t> cursors(cursors_.size());
-    for (std::uint64_t &cursor : cursors)
-        cursor = d.varint();
-    std::vector<std::uint32_t> reuse(reuse_left_.size());
-    for (std::uint32_t &r : reuse)
-        r = static_cast<std::uint32_t>(d.varint());
-    std::map<int, Group> groups = groups_;
-    for (auto &[id, group] : groups) {
-        group.cursor = d.varint();
-        group.rr = static_cast<std::uint32_t>(d.varint());
-        group.reuse_left = static_cast<std::uint32_t>(d.varint());
-    }
-    if (d.failed())
-        return;
-
-    rng_ = rng;
-    cur_routine_ = static_cast<std::size_t>(cur_routine);
-    cur_offset_ = static_cast<std::uint32_t>(cur_offset);
-    repeats_left_ = repeats_left;
-    call_return_ =
-        static_cast<std::ptrdiff_t>(call_return_biased) - 1;
-    cursors_ = std::move(cursors);
-    reuse_left_ = std::move(reuse);
-    groups_ = std::move(groups);
 }
 
 } // namespace memwall

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "common/rng.hh"
 #include "trace/ref.hh"
 
@@ -107,13 +106,6 @@ struct SyntheticSpec
 };
 
 /**
- * FNV-1a hash over every field of @p spec. Checkpoints embed it so
- * generator state saved under one benchmark parameterisation can
- * never be applied to another.
- */
-std::uint64_t syntheticSpecHash(const SyntheticSpec &spec);
-
-/**
  * Reference-stream generator executing a SyntheticSpec.
  *
  * Each step emits one instruction fetch from the current routine and,
@@ -190,16 +182,6 @@ class SyntheticWorkload : public RefSource
     }
 
     const SyntheticSpec &spec() const { return spec_; }
-
-    /**
-     * Serialize the complete mutable generator state (RNG stream
-     * position, instruction-stream cursor, per-stream and per-group
-     * cursors) behind a spec-hash guard.
-     */
-    void saveState(ckpt::Encoder &e) const;
-
-    /** All-or-nothing restore; fails the decoder on spec mismatch. */
-    void loadState(ckpt::Decoder &d);
 
   private:
     struct DataRef

@@ -6,7 +6,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "checkpoint/checkpoint.hh"
+#include "checkpoint/file_io.hh"
 #include "common/logging.hh"
 
 namespace memwall {

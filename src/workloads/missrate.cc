@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "checkpoint/state_io.hh"
 #include "common/logging.hh"
 #include "harness/parallel_sweep.hh"
 
@@ -134,53 +133,6 @@ struct ComparisonCaches
             cache.resetStats();
     }
 
-    /**
-     * Serialize every cache in the comparison set, in a fixed
-     * order. Geometry guards live inside each cache's saveState.
-     */
-    void
-    saveState(ckpt::Encoder &e) const
-    {
-        icache_pim.saveState(e);
-        dcache_plain.saveState(e);
-        dcache_vc.saveState(e);
-        for (const auto &[label, cache] : conv_i)
-            cache.saveState(e);
-        for (const auto &[label, cache] : conv_d)
-            cache.saveState(e);
-    }
-
-    /**
-     * All-or-nothing restore. Applies cache by cache (never by
-     * reassigning the vectors) so the AccessStats addresses the
-     * UnitRates views captured at construction stay valid.
-     */
-    void
-    loadState(ckpt::Decoder &d)
-    {
-        ComparisonCaches tmp = *this;
-        tmp.icache_pim.loadState(d);
-        tmp.dcache_plain.loadState(d);
-        tmp.dcache_vc.loadState(d);
-        for (auto &[label, cache] : tmp.conv_i)
-            cache.loadState(d);
-        for (auto &[label, cache] : tmp.conv_d)
-            cache.loadState(d);
-        if (d.failed())
-            return;
-        if (!d.atEnd()) {
-            d.fail("comparison caches: trailing bytes");
-            return;
-        }
-        icache_pim = tmp.icache_pim;
-        dcache_plain = tmp.dcache_plain;
-        dcache_vc = tmp.dcache_vc;
-        for (std::size_t i = 0; i < conv_i.size(); ++i)
-            conv_i[i].second = tmp.conv_i[i].second;
-        for (std::size_t i = 0; i < conv_d.size(); ++i)
-            conv_d[i].second = tmp.conv_d[i].second;
-    }
-
     /** Label -> live stats views, in the result ordering. */
     std::vector<std::pair<std::string, const AccessStats *>>
     icacheViews() const
@@ -291,73 +243,6 @@ headlineConverged(const SamplingPlan &plan, const UnitRates &icaches,
            converged(dcaches.rates(cachelabels::proposed_vc));
 }
 
-// Per-unit checkpoint sections: the comparison caches' post-warm
-// state and the unit's generator cursor.
-constexpr std::uint32_t sec_caches = ckpt::fourcc("CCHE");
-constexpr std::uint32_t sec_source = ckpt::fourcc("WSRC");
-
-std::string
-unitKey(const std::string &workload, std::uint64_t unit)
-{
-    return workload + "-u" + std::to_string(unit);
-}
-
-/**
- * Try to replace @p caches' and @p source's state with the unit's
- * checkpoint. Applies both or neither; any container or payload
- * failure is counted by the store and reported as false (rewarm).
- */
-bool
-tryRestoreUnit(ckpt::CheckpointStore &store, const std::string &key,
-               ComparisonCaches &caches, SyntheticWorkload &source)
-{
-    ckpt::CheckpointReader reader;
-    if (store.load(key, reader) != ckpt::LoadError::None)
-        return false;
-    if (!reader.hasSection(sec_caches) ||
-        !reader.hasSection(sec_source)) {
-        store.noteMalformed();
-        return false;
-    }
-    // Validate the generator payload first, then apply the caches
-    // in place (ComparisonCaches::loadState is all-or-nothing and
-    // keeps the stats addresses stable), then the generator: no
-    // failure path leaves only one of the two applied.
-    SyntheticWorkload restored_source = source;
-    ckpt::Decoder ds = reader.section(sec_source);
-    restored_source.loadState(ds);
-    ckpt::Decoder dc = reader.section(sec_caches);
-    if (ds.failed() || !ds.atEnd()) {
-        store.noteMalformed();
-        return false;
-    }
-    caches.loadState(dc);
-    if (dc.failed()) {
-        store.noteMalformed();
-        return false;
-    }
-    source = std::move(restored_source);
-    return true;
-}
-
-/** Populate the unit's checkpoint (best-effort: write errors are
- *  counted by the store, never fatal). */
-bool
-saveUnit(ckpt::CheckpointStore &store, const std::string &key,
-         const ComparisonCaches &caches,
-         const SyntheticWorkload &source)
-{
-    ckpt::CheckpointWriter w(store.configHash());
-    caches.saveState(w.section(sec_caches));
-    source.saveState(w.section(sec_source));
-    std::string why;
-    if (!store.save(key, w, &why)) {
-        MW_WARN("checkpoint population failed: ", why);
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 WorkloadMissRates
@@ -418,15 +303,6 @@ SampledWorkloadMissRates
 measureMissRatesSampled(const SpecWorkload &workload,
                         const MissRateParams &params,
                         const SamplingPlan &plan)
-{
-    return measureMissRatesSampled(workload, params, plan, nullptr);
-}
-
-SampledWorkloadMissRates
-measureMissRatesSampled(const SpecWorkload &workload,
-                        const MissRateParams &params,
-                        const SamplingPlan &plan,
-                        ckpt::CheckpointStore *store)
 {
     plan.validate();
 
@@ -514,28 +390,7 @@ measureMissRatesSampled(const SpecWorkload &workload,
             spec.seed = pointSeed(base, unit);
             SyntheticWorkload source(spec);
             source.scatterState();
-            // Checkpoint-accelerated warm phase: a hit swaps in the
-            // exact post-warm cache+generator state a cold run
-            // reaches here; a miss warms functionally and populates
-            // the store for the next run.
-            bool restored = false;
-            if (store) {
-                const std::string key =
-                    unitKey(workload.name, unit);
-                restored = tryRestoreUnit(*store, key, caches,
-                                          source);
-                if (restored) {
-                    ++out.ckpt_restored_units;
-                } else {
-                    ++out.ckpt_degraded_units;
-                    source.generateInto(plan.warmup_refs,
-                                        warm_sink);
-                    if (saveUnit(*store, key, caches, source))
-                        ++out.ckpt_saved_units;
-                }
-            } else {
-                source.generateInto(plan.warmup_refs, warm_sink);
-            }
+            source.generateInto(plan.warmup_refs, warm_sink);
             out.warm_refs += plan.warmup_refs;
             icaches.beginUnit();
             dcaches.beginUnit();
@@ -553,129 +408,6 @@ measureMissRatesSampled(const SpecWorkload &workload,
     out.icaches = icaches.results(plan.level);
     out.dcaches = dcaches.results(plan.level);
     return out;
-}
-
-namespace {
-
-void
-putCi(ckpt::Encoder &e, const ConfidenceInterval &ci)
-{
-    e.f64(ci.mean);
-    e.f64(ci.half_width);
-    e.f64(ci.level);
-    e.varint(ci.n);
-    e.u8(ci.valid ? 1 : 0);
-}
-
-void
-getCi(ckpt::Decoder &d, ConfidenceInterval &ci)
-{
-    ci.mean = d.f64();
-    ci.half_width = d.f64();
-    ci.level = d.f64();
-    ci.n = d.varint();
-    const std::uint8_t valid = d.u8();
-    if (valid > 1) {
-        d.fail("confidence interval: invalid flag");
-        return;
-    }
-    ci.valid = valid != 0;
-}
-
-} // namespace
-
-void
-encodeResult(ckpt::Encoder &e, const WorkloadMissRates &r)
-{
-    e.str(r.workload);
-    const auto putSide = [&](const std::vector<CacheMissResult> &v) {
-        e.varint(v.size());
-        for (const CacheMissResult &c : v) {
-            e.str(c.label);
-            ckpt::putAccessStats(e, c.stats);
-        }
-    };
-    putSide(r.icaches);
-    putSide(r.dcaches);
-}
-
-bool
-decodeResult(ckpt::Decoder &d, WorkloadMissRates &r)
-{
-    WorkloadMissRates out;
-    out.workload = d.str();
-    const auto getSide = [&](std::vector<CacheMissResult> &v) {
-        const std::uint64_t n = d.varint();
-        for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-            CacheMissResult c;
-            c.label = d.str();
-            ckpt::getAccessStats(d, c.stats);
-            v.push_back(std::move(c));
-        }
-    };
-    getSide(out.icaches);
-    getSide(out.dcaches);
-    if (d.failed() || !d.atEnd())
-        return false;
-    r = std::move(out);
-    return true;
-}
-
-void
-encodeResult(ckpt::Encoder &e, const SampledWorkloadMissRates &r)
-{
-    e.str(r.workload);
-    e.str(r.plan);
-    e.varint(r.units);
-    e.varint(r.detail_refs);
-    e.varint(r.warm_refs);
-    e.varint(r.ff_refs);
-    e.varint(r.ckpt_restored_units);
-    e.varint(r.ckpt_saved_units);
-    e.varint(r.ckpt_degraded_units);
-    const auto putSide =
-        [&](const std::vector<SampledCacheMissRate> &v) {
-            e.varint(v.size());
-            for (const SampledCacheMissRate &c : v) {
-                e.str(c.label);
-                ckpt::putSampleStat(e, c.unit_rates);
-                putCi(e, c.ci);
-            }
-        };
-    putSide(r.icaches);
-    putSide(r.dcaches);
-}
-
-bool
-decodeResult(ckpt::Decoder &d, SampledWorkloadMissRates &r)
-{
-    SampledWorkloadMissRates out;
-    out.workload = d.str();
-    out.plan = d.str();
-    out.units = d.varint();
-    out.detail_refs = d.varint();
-    out.warm_refs = d.varint();
-    out.ff_refs = d.varint();
-    out.ckpt_restored_units = d.varint();
-    out.ckpt_saved_units = d.varint();
-    out.ckpt_degraded_units = d.varint();
-    const auto getSide =
-        [&](std::vector<SampledCacheMissRate> &v) {
-            const std::uint64_t n = d.varint();
-            for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-                SampledCacheMissRate c;
-                c.label = d.str();
-                ckpt::getSampleStat(d, c.unit_rates);
-                getCi(d, c.ci);
-                v.push_back(std::move(c));
-            }
-        };
-    getSide(out.icaches);
-    getSide(out.dcaches);
-    if (d.failed() || !d.atEnd())
-        return false;
-    r = std::move(out);
-    return true;
 }
 
 HierarchyRates

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/store.hh"
 #include "common/stats.hh"
 #include "mem/cache.hh"
 #include "mem/column_cache.hh"
@@ -113,25 +112,10 @@ struct SampledWorkloadMissRates
 
     /** Detail units completed (== max sample count per cache). */
     std::uint64_t units = 0;
-    /**
-     * References each mode accounts for. A unit whose post-warm
-     * state was restored from a checkpoint still counts its
-     * warmup_refs here (the state transitions were applied, just
-     * not re-simulated), so accelerated and cold runs report
-     * identical figures.
-     */
+    /** References each mode accounts for. */
     std::uint64_t detail_refs = 0;
     std::uint64_t warm_refs = 0;
     std::uint64_t ff_refs = 0;
-
-    // Checkpoint acceleration bookkeeping (zero without a store).
-    /** Units whose warm phase was replaced by a checkpoint load. */
-    std::uint64_t ckpt_restored_units = 0;
-    /** Units that populated a missing checkpoint after warming. */
-    std::uint64_t ckpt_saved_units = 0;
-    /** Units that fell back to functional warming because the
-     * checkpoint was missing, corrupt or mismatched. */
-    std::uint64_t ckpt_degraded_units = 0;
 
     const SampledCacheMissRate &icache(const std::string &label) const;
     const SampledCacheMissRate &dcache(const std::string &label) const;
@@ -161,38 +145,6 @@ SampledWorkloadMissRates
 measureMissRatesSampled(const SpecWorkload &workload,
                         const MissRateParams &params,
                         const SamplingPlan &plan);
-
-/**
- * Checkpoint-accelerated variant. For stratified plans with a
- * non-null @p store, each unit first tries to load its per-unit
- * checkpoint ("<workload>-u<unit>") containing the post-warm cache
- * and generator state; a hit replaces the warm phase outright, a
- * miss (or any rejected/corrupt file) degrades to functional warming
- * and then populates the store for the next run. Because restore
- * applies the exact state a cold run would have reached, accelerated
- * and cold runs produce byte-identical samples; only the ckpt_*
- * bookkeeping fields differ. Systematic plans ignore the store (the
- * single warming stream cannot be skipped piecemeal), as does a null
- * @p store — both fall through to the plain sampled measurement.
- */
-SampledWorkloadMissRates
-measureMissRatesSampled(const SpecWorkload &workload,
-                        const MissRateParams &params,
-                        const SamplingPlan &plan,
-                        ckpt::CheckpointStore *store);
-
-/**
- * Result serialization for the resumable-sweep journal
- * (ParallelSweep memo hooks + ckpt::SweepJournal): encode one sweep
- * point's result so an interrupted figure run can be resumed without
- * recomputing committed points. decode returns false (without
- * touching @p r beyond scratch) when the payload does not parse.
- */
-void encodeResult(ckpt::Encoder &e, const WorkloadMissRates &r);
-bool decodeResult(ckpt::Decoder &d, WorkloadMissRates &r);
-void encodeResult(ckpt::Encoder &e,
-                  const SampledWorkloadMissRates &r);
-bool decodeResult(ckpt::Decoder &d, SampledWorkloadMissRates &r);
 
 /** Hit ratios of a two-level conventional hierarchy (Section 5.5). */
 struct HierarchyRates

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "bench_util.hh"
 #include "catalog_driver.hh"
@@ -160,28 +162,43 @@ TEST(BenchUtilDeathTest, SplashFigureRejectsRefs)
                 "\"refs\" does not apply to experiment \"fig13\"");
 }
 
-TEST(BenchUtilDeathTest, CkptDirWithoutStratifiedPlanIsUsageError)
+TEST(BenchUtilDeathTest, MissRateBenchesRejectCheckpointFlags)
 {
-    // Only a stratified --sample plan reads the checkpoint store;
-    // without one the flag is refused before the directory exists.
+    // Figures 7 and 8 take no checkpoint directory and no resume
+    // journal: both flags are unknown flags, even beside a
+    // stratified plan, and the rejected run creates neither path.
     const std::string dir =
-        ::testing::TempDir() + "benchutil-unused-ckpt-dir";
+        ::testing::TempDir() + "benchutil-removed-ckpt-dir";
+    const std::string journal =
+        ::testing::TempDir() + "benchutil-removed-resume.mwsj";
     ::rmdir(dir.c_str());
-    Argv bare{"fig7_icache_miss", "--quick", "--ckpt-dir", dir.c_str()};
-    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig7, "",
-                                           bare.argc(), bare.argv(),
-                                           nullptr),
-                testing::ExitedWithCode(2),
-                "--ckpt-dir needs a stratified --sample plan");
-    Argv sys{"fig7_icache_miss", "--quick", "--sample",
-             "U=500,W=1000,k=20", "--ckpt-dir", dir.c_str()};
-    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig7, "",
-                                           sys.argc(), sys.argv(),
-                                           nullptr),
-                testing::ExitedWithCode(2),
-                "--ckpt-dir needs a stratified --sample plan");
+    ::unlink(journal.c_str());
+    const struct
+    {
+        server::Experiment exp;
+        const char *prog;
+    } benches[] = {{server::Experiment::Fig7, "fig7_icache_miss"},
+                   {server::Experiment::Fig8, "fig8_dcache_miss"}};
+    for (const auto &b : benches) {
+        Argv ckpt{b.prog, "--quick", "--sample",
+                  "mode=strat,n=6,U=500,W=1000", "--ckpt-dir",
+                  dir.c_str()};
+        EXPECT_EXIT(benchutil::runCatalogBench(b.exp, "", ckpt.argc(),
+                                               ckpt.argv(), nullptr),
+                    testing::ExitedWithCode(2),
+                    "unknown flag '--ckpt-dir'")
+            << b.prog;
+        Argv resume{b.prog, "--quick", "--resume", journal.c_str()};
+        EXPECT_EXIT(benchutil::runCatalogBench(b.exp, "",
+                                               resume.argc(),
+                                               resume.argv(), nullptr),
+                    testing::ExitedWithCode(2),
+                    "unknown flag '--resume'")
+            << b.prog;
+    }
     struct stat st;
     EXPECT_NE(::stat(dir.c_str(), &st), 0);
+    EXPECT_NE(::stat(journal.c_str(), &st), 0);
 }
 
 TEST(BenchUtilDeathTest, MalformedSamplePlanIsUsageError)
@@ -272,110 +289,6 @@ TEST(BenchUtilDeathTest, DoubleListRejectsBadItems)
                                            {"--nacks"}, 1.0),
                 testing::ExitedWithCode(2),
                 "invalid value '1\\.5' for --nacks");
-}
-
-TEST(BenchUtilCkptFlagsDeath, EmptyCkptDirIsUsageError)
-{
-    Argv a{"bench", "--ckpt-dir", ""};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--ckpt-dir"});
-    EXPECT_EXIT(
-        benchutil::checkpointDirFlag(opt, "bench", {"--ckpt-dir"}),
-        testing::ExitedWithCode(2), "--ckpt-dir: empty path");
-}
-
-TEST(BenchUtilCkptFlagsDeath, CkptDirOverRegularFileIsUsageError)
-{
-    Argv a{"bench", "--ckpt-dir", "/etc/hostname"};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--ckpt-dir"});
-    EXPECT_EXIT(
-        benchutil::checkpointDirFlag(opt, "bench", {"--ckpt-dir"}),
-        testing::ExitedWithCode(2), "is not a directory");
-}
-
-TEST(BenchUtilCkptFlagsDeath, UncreatableCkptDirIsUsageError)
-{
-    Argv a{"bench", "--ckpt-dir", "/nonexistent/deep/dir"};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--ckpt-dir"});
-    EXPECT_EXIT(
-        benchutil::checkpointDirFlag(opt, "bench", {"--ckpt-dir"}),
-        testing::ExitedWithCode(2),
-        "cannot create '/nonexistent/deep/dir'");
-}
-
-TEST(BenchUtilCkptFlags, AbsentCkptDirReturnsEmpty)
-{
-    Argv a{"bench"};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--ckpt-dir"});
-    EXPECT_EQ(
-        benchutil::checkpointDirFlag(opt, "bench", {"--ckpt-dir"}),
-        "");
-}
-
-TEST(BenchUtilCkptFlags, CkptDirIsCreatedWhenMissing)
-{
-    const std::string dir =
-        ::testing::TempDir() + "benchutil-ckpt-dir";
-    const std::string cleanup = "rm -rf '" + dir + "'";
-    [[maybe_unused]] int rc = std::system(cleanup.c_str());
-    Argv a{"bench", "--ckpt-dir", dir.c_str()};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--ckpt-dir"});
-    EXPECT_EQ(
-        benchutil::checkpointDirFlag(opt, "bench", {"--ckpt-dir"}),
-        dir);
-    struct stat st;
-    EXPECT_EQ(::stat(dir.c_str(), &st), 0);
-    EXPECT_TRUE(S_ISDIR(st.st_mode));
-    rc = std::system(cleanup.c_str());
-}
-
-TEST(BenchUtilCkptFlagsDeath, EmptyResumePathIsUsageError)
-{
-    Argv a{"bench", "--resume", ""};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--resume"});
-    EXPECT_EXIT(
-        benchutil::resumePathFlag(opt, "bench", {"--resume"}),
-        testing::ExitedWithCode(2), "--resume: empty path");
-}
-
-TEST(BenchUtilCkptFlagsDeath, ResumeOverDirectoryIsUsageError)
-{
-    Argv a{"bench", "--resume", "/tmp"};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--resume"});
-    EXPECT_EXIT(
-        benchutil::resumePathFlag(opt, "bench", {"--resume"}),
-        testing::ExitedWithCode(2), "is not a regular file");
-}
-
-TEST(BenchUtilCkptFlagsDeath, ResumeInUnwritableDirIsUsageError)
-{
-    Argv a{"bench", "--resume", "/nonexistent/dir/run.mwsj"};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--resume"});
-    EXPECT_EXIT(
-        benchutil::resumePathFlag(opt, "bench", {"--resume"}),
-        testing::ExitedWithCode(2), "is not writable");
-}
-
-TEST(BenchUtilCkptFlagsDeath, ResumeStatFailureNamesPathAndErrno)
-{
-    // stat("/dev/null/x") fails with ENOTDIR (not ENOENT), so the
-    // error must surface the failing path and the errno text rather
-    // than being treated as a creatable fresh journal.
-    Argv a{"bench", "--resume", "/dev/null/x.mwsj"};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--resume"});
-    EXPECT_EXIT(
-        benchutil::resumePathFlag(opt, "bench", {"--resume"}),
-        testing::ExitedWithCode(2),
-        "cannot stat '/dev/null/x\\.mwsj': Not a directory");
-}
-
-TEST(BenchUtilCkptFlags, ResumeAcceptsFreshPathInWritableDir)
-{
-    const std::string path = ::testing::TempDir() + "fresh.mwsj";
-    ::unlink(path.c_str());
-    Argv a{"bench", "--resume", path.c_str()};
-    auto opt = benchutil::parse(a.argc(), a.argv(), {"--resume"});
-    EXPECT_EQ(benchutil::resumePathFlag(opt, "bench", {"--resume"}),
-              path);
 }
 
 } // namespace

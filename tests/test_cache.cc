@@ -12,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/codec.hh"
 #include "mem/cache.hh"
-#include "mem/column_cache.hh"
 #include "mem/victim_cache.hh"
 
 using namespace memwall;
@@ -717,77 +715,4 @@ TEST(VictimCacheOracle, AgreesWithNaiveModel)
         }
         expectSameStats(vc.stats(), ref.stats);
     }
-}
-
-// ---- Pinned checkpoint bytes -------------------------------------------
-
-namespace {
-
-/** FNV-1a of the bytes @p obj's saveState() writes. */
-template <typename T>
-std::uint64_t
-savedStateHash(const T &obj)
-{
-    ckpt::Encoder e;
-    obj.saveState(e);
-    return ckpt::fnv1a64(e.data().data(), e.data().size());
-}
-
-/** A seeded mixed stream with invalidations, for warming state. */
-template <typename Step>
-void
-warm(std::uint64_t seed, std::uint64_t span, Step step)
-{
-    std::uint64_t x = seed;
-    for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t r = xorshift(x);
-        step((r >> 8) % span, (r >> 4) % 3 == 0, r % 8 == 0);
-    }
-}
-
-} // namespace
-
-/**
- * The MWCP bytes of warmed caches, recorded when the tag arrays
- * stored a separate valid flag per line: the serialized form must
- * not move with the in-memory layout.
- */
-TEST(CacheCheckpointBytes, PinnedAcrossLayouts)
-{
-    CacheConfig lru = cfg(2 * KiB, 32, 2);
-    Cache a(lru);
-    warm(11, 8 * KiB, [&](Addr addr, bool store, bool inval) {
-        if (inval)
-            a.invalidate(addr);
-        else
-            a.access(addr, store);
-    });
-    CacheConfig rnd = cfg(16 * 7 * 32, 32, 7);
-    rnd.repl = ReplPolicy::Random;
-    Cache b(rnd, 5);
-    warm(12, 16 * KiB, [&](Addr addr, bool store, bool inval) {
-        if (inval)
-            b.invalidate(addr);
-        else
-            b.access(addr, store);
-    });
-    VictimCache vc;
-    warm(13, 2 * KiB, [&](Addr addr, bool store, bool inval) {
-        if (inval)
-            vc.invalidate(addr);
-        else if (!vc.access(addr, store))
-            vc.insert(addr);
-    });
-    ColumnDataCache columns;
-    warm(14, 64 * KiB, [&](Addr addr, bool store, bool inval) {
-        if (inval)
-            columns.invalidateBlock(addr);
-        else
-            columns.access(addr, store);
-    });
-
-    EXPECT_EQ(savedStateHash(a), 0x9320ab425d3a9588ull);
-    EXPECT_EQ(savedStateHash(b), 0x5b513407cc37d29full);
-    EXPECT_EQ(savedStateHash(vc), 0xa36de50f87a11367ull);
-    EXPECT_EQ(savedStateHash(columns), 0x44dd16daf033e534ull);
 }

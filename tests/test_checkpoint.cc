@@ -1,16 +1,17 @@
 /**
  * @file
- * Tests for the MWCP checkpoint subsystem: the codec, the container
- * (every rejection class), the sweep journal, the per-unit store, and
- * save/load round-trips of every checkpointable component — each one
- * must re-serialize to byte-identical state and continue producing
- * the exact behaviour of the original.
+ * Tests for the on-disk helpers in src/checkpoint: the binary codec,
+ * the atomic whole-file write (including a writer racing a reader in
+ * another process) and the MWSJ journal behind mw-server's result
+ * cache, with its `mwckpt journal` inspector.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -18,17 +19,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "checkpoint/checkpoint.hh"
+#include "checkpoint/codec.hh"
+#include "checkpoint/file_io.hh"
 #include "checkpoint/journal.hh"
-#include "checkpoint/state_io.hh"
-#include "checkpoint/store.hh"
-#include "mem/cache.hh"
-#include "mem/column_cache.hh"
-#include "mem/victim_cache.hh"
-#include "sampling/plan.hh"
-#include "trace/synthetic.hh"
-#include "workloads/missrate.hh"
-#include "workloads/spec_suite.hh"
 
 using namespace memwall;
 
@@ -58,52 +51,6 @@ struct TempDir
         return path + "/" + name;
     }
 };
-
-/** Serialize one component's state to bytes. */
-template <typename T>
-std::vector<std::uint8_t>
-stateBytes(const T &obj)
-{
-    ckpt::Encoder e;
-    obj.saveState(e);
-    return e.take();
-}
-
-/**
- * The core round-trip property: restoring @p src's state into
- * @p dst must leave dst re-serializing to the exact same bytes.
- */
-template <typename T>
-void
-expectRoundTrip(const T &src, T &dst)
-{
-    const std::vector<std::uint8_t> bytes = stateBytes(src);
-    ckpt::Decoder d(bytes);
-    dst.loadState(d);
-    EXPECT_TRUE(d.ok()) << d.error();
-    EXPECT_TRUE(d.atEnd());
-    EXPECT_EQ(stateBytes(dst), bytes);
-}
-
-CacheConfig
-cacheCfg(std::uint64_t capacity, std::uint32_t assoc)
-{
-    CacheConfig c;
-    c.capacity = capacity;
-    c.line_size = 32;
-    c.assoc = assoc;
-    c.name = "test";
-    return c;
-}
-
-/** Deterministic pseudo-random address stream (splitmix-style). */
-Addr
-scrambled(std::uint64_t i)
-{
-    std::uint64_t z = (i + 1) * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    return (z ^ (z >> 27)) & 0xfffff8;
-}
 
 } // namespace
 
@@ -182,165 +129,15 @@ TEST(CkptCodec, ExplicitFailLatchesFirstError)
     EXPECT_EQ(d.u8(), 0u);
 }
 
-// ---- Container ---------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t test_config_hash = 0x1122334455667788ULL;
-
-std::vector<std::uint8_t>
-makeCheckpoint()
-{
-    ckpt::CheckpointWriter w(test_config_hash);
-    ckpt::Encoder &a = w.section(ckpt::fourcc("AAAA"));
-    a.u32(0xcafe);
-    a.str("payload-a");
-    ckpt::Encoder &b = w.section(ckpt::fourcc("BBBB"));
-    b.varint(999);
-    return w.serialize();
-}
-
-/** Patch the header CRC after deliberately editing header bytes. */
-void
-fixHeaderCrc(std::vector<std::uint8_t> &bytes, std::size_t sections)
-{
-    const std::size_t crc_off = 4 + 4 + 8 + 4 + sections * 24;
-    const std::uint32_t crc = ckpt::crc32(bytes.data(), crc_off);
-    for (int i = 0; i < 4; ++i)
-        bytes[crc_off + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(crc >> (8 * i));
-}
-
-} // namespace
-
-TEST(CkptContainer, WriteReadRoundTrip)
-{
-    ckpt::CheckpointReader r;
-    ASSERT_EQ(r.loadBytes(makeCheckpoint(), test_config_hash),
-              ckpt::LoadError::None);
-    EXPECT_EQ(r.version(), ckpt::format_version);
-    EXPECT_EQ(r.configHash(), test_config_hash);
-    ASSERT_EQ(r.sections().size(), 2u);
-    EXPECT_TRUE(r.hasSection(ckpt::fourcc("AAAA")));
-    EXPECT_TRUE(r.hasSection(ckpt::fourcc("BBBB")));
-    EXPECT_FALSE(r.hasSection(ckpt::fourcc("ZZZZ")));
-
-    ckpt::Decoder a = r.section(ckpt::fourcc("AAAA"));
-    EXPECT_EQ(a.u32(), 0xcafeu);
-    EXPECT_EQ(a.str(), "payload-a");
-    EXPECT_TRUE(a.ok());
-    EXPECT_TRUE(a.atEnd());
-
-    ckpt::Decoder b = r.section(ckpt::fourcc("BBBB"));
-    EXPECT_EQ(b.varint(), 999u);
-    EXPECT_TRUE(b.atEnd());
-}
-
-TEST(CkptContainer, AbsentSectionYieldsFailedDecoder)
-{
-    ckpt::CheckpointReader r;
-    ASSERT_EQ(r.loadBytes(makeCheckpoint(), test_config_hash),
-              ckpt::LoadError::None);
-    ckpt::Decoder d = r.section(ckpt::fourcc("ZZZZ"));
-    EXPECT_TRUE(d.failed());
-    EXPECT_NE(d.error().find("absent"), std::string::npos);
-}
-
-TEST(CkptContainer, RejectsBadMagic)
-{
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    bytes[0] ^= 0xff;
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::BadMagic);
-}
-
-TEST(CkptContainer, RejectsShortHeader)
-{
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    bytes.resize(10);
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::Truncated);
-}
-
-TEST(CkptContainer, RejectsTruncatedPayload)
-{
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    bytes.pop_back();
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::Truncated);
-}
-
-TEST(CkptContainer, FlippedVersionByteReadsAsCorruption)
-{
-    // The header CRC covers the version field, so a bit flip in it
-    // must be reported as corruption — not as honest version skew.
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    bytes[4] ^= 0x02;
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::BadHeaderCrc);
-}
-
-TEST(CkptContainer, HonestVersionSkewIsBadVersion)
-{
-    // A well-formed file from a future format (consistent CRC).
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    bytes[4] = static_cast<std::uint8_t>(ckpt::format_version + 1);
-    fixHeaderCrc(bytes, 2);
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::BadVersion);
-}
-
-TEST(CkptContainer, RejectsForeignConfigHash)
-{
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(makeCheckpoint(), test_config_hash + 1),
-              ckpt::LoadError::BadConfig);
-    // The inspector path (no expected hash) still loads it.
-    EXPECT_EQ(r.loadBytes(makeCheckpoint(), std::nullopt),
-              ckpt::LoadError::None);
-}
-
-TEST(CkptContainer, PayloadBitFlipIsSectionCrc)
-{
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    bytes.back() ^= 0x01; // last payload byte
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::BadSectionCrc);
-}
-
-TEST(CkptContainer, ScrambledSectionTableIsMalformed)
-{
-    // Grow the first section's recorded length so the second
-    // section's offset no longer tiles the payload; keep the header
-    // CRC consistent so the table itself is what gets rejected.
-    std::vector<std::uint8_t> bytes = makeCheckpoint();
-    const std::size_t len_off = 4 + 4 + 8 + 4 + 4 + 8;
-    bytes[len_off] += 1;
-    fixHeaderCrc(bytes, 2);
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadBytes(std::move(bytes), test_config_hash),
-              ckpt::LoadError::Malformed);
-}
-
-TEST(CkptContainer, MissingFileIsIoError)
-{
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(r.loadFile("/nonexistent/nope.mwcp", std::nullopt),
-              ckpt::LoadError::Io);
-    EXPECT_FALSE(r.errorDetail().empty());
-}
+// ---- Atomic whole-file writes -------------------------------------------
 
 TEST(CkptContainer, AtomicWriteRoundTripAndFailure)
 {
     TempDir dir;
     const std::string path = dir.file("blob.bin");
-    const std::vector<std::uint8_t> bytes = makeCheckpoint();
+    std::vector<std::uint8_t> bytes(1000);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 7);
     std::string why;
     ASSERT_TRUE(ckpt::atomicWriteFile(path, bytes.data(),
                                       bytes.size(), &why))
@@ -356,6 +153,50 @@ TEST(CkptContainer, AtomicWriteRoundTripAndFailure)
                                        bytes.data(), bytes.size(),
                                        &why));
     EXPECT_NE(why.find("/nonexistent/dir/x"), std::string::npos);
+}
+
+TEST(CkptContainer, TwoProcessWriteReadRaceNeverShowsTornFile)
+{
+    // The atomic-rename contract: a reader racing a writer on the
+    // same path sees either a complete old file or a complete new
+    // one — never a torn file. Run a child process hammering writes
+    // of two distinguishable payloads while the parent reads.
+    TempDir dir;
+    const std::string path = dir.file("race.bin");
+    const std::vector<std::uint8_t> payload_a(4096, 'a');
+    const std::vector<std::uint8_t> payload_b(4096, 'b');
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        for (int i = 0; i < 200; ++i) {
+            const std::vector<std::uint8_t> &p =
+                i % 2 ? payload_b : payload_a;
+            if (!ckpt::atomicWriteFile(path, p.data(), p.size()))
+                ::_exit(2);
+        }
+        ::_exit(0);
+    }
+
+    int reads_ok = 0;
+    int status = 0;
+    bool child_done = false;
+    // Read as fast as possible for the writer's whole lifetime (plus
+    // one final pass), so reads overlap every write/rename window.
+    while (!child_done) {
+        child_done = ::waitpid(pid, &status, WNOHANG) == pid;
+        const auto got = ckpt::readFileBytes(path);
+        if (!got)
+            continue; // not yet written: fine
+        // Any *visible* file must be one of the two whole payloads.
+        ASSERT_TRUE(*got == payload_a || *got == payload_b)
+            << "torn file of length " << got->size();
+        ++reads_ok;
+    }
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_GT(reads_ok, 0);
+    // After the writer exits the file holds its last payload.
+    EXPECT_EQ(ckpt::readFileBytes(path), payload_b);
 }
 
 // ---- Sweep journal -----------------------------------------------------
@@ -390,12 +231,11 @@ TEST(SweepJournal, AppendCloseRecover)
     EXPECT_EQ(j.recovered(), 3u);
     EXPECT_EQ(j.tornBytes(), 0u);
     EXPECT_FALSE(j.discardedForeign());
+    ASSERT_EQ(j.records().size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
-        const auto *p = j.lookup(i);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(*p, payloadFor(i));
+        ASSERT_EQ(j.records().count(i), 1u) << i;
+        EXPECT_EQ(j.records().at(i), payloadFor(i));
     }
-    EXPECT_EQ(j.lookup(3), nullptr);
 }
 
 TEST(SweepJournal, TornTailTruncatedAndAppendable)
@@ -420,7 +260,7 @@ TEST(SweepJournal, TornTailTruncatedAndAppendable)
     ASSERT_TRUE(j.open(path, 42));
     EXPECT_EQ(j.recovered(), 2u);
     EXPECT_GT(j.tornBytes(), 0u);
-    ASSERT_NE(j.lookup(1), nullptr);
+    ASSERT_EQ(j.records().count(1), 1u);
     // The journal is append-clean again after truncation.
     ASSERT_TRUE(j.append(2, payloadFor(2)));
     j.close();
@@ -451,8 +291,8 @@ TEST(SweepJournal, CorruptPayloadMarksTornTail)
     ASSERT_TRUE(j.open(path, 42));
     EXPECT_EQ(j.recovered(), 1u);
     EXPECT_GT(j.tornBytes(), 0u);
-    EXPECT_NE(j.lookup(0), nullptr);
-    EXPECT_EQ(j.lookup(1), nullptr);
+    EXPECT_EQ(j.records().count(0), 1u);
+    EXPECT_EQ(j.records().count(1), 0u);
 }
 
 TEST(SweepJournal, ForeignRunHashDiscardsContents)
@@ -468,7 +308,7 @@ TEST(SweepJournal, ForeignRunHashDiscardsContents)
     ASSERT_TRUE(j.open(path, 43));
     EXPECT_TRUE(j.discardedForeign());
     EXPECT_EQ(j.recovered(), 0u);
-    EXPECT_EQ(j.lookup(0), nullptr);
+    EXPECT_TRUE(j.records().empty());
 }
 
 TEST(SweepJournal, InspectorListsTornJournalWithoutWritingIt)
@@ -514,8 +354,6 @@ TEST(SweepJournal, InspectorListsTornJournalWithoutWritingIt)
         << "inspecting a journal must leave its bytes unchanged";
 }
 
-// ---- Checkpoint store --------------------------------------------------
-
 TEST(SweepJournal, AppendAfterCloseIsNamedError)
 {
     TempDir dir;
@@ -539,438 +377,4 @@ TEST(SweepJournal, OpenFailureNamesPathAndErrno)
         << why;
     EXPECT_NE(why.find(std::strerror(ENOTDIR)), std::string::npos)
         << why;
-}
-
-TEST(CheckpointStore, SaveLoadAndCounters)
-{
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, test_config_hash);
-    ckpt::CheckpointWriter w(store.configHash());
-    w.section(ckpt::fourcc("AAAA")).varint(5);
-    std::string why;
-    ASSERT_TRUE(store.save("unit0", w, &why)) << why;
-
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(store.load("unit0", r), ckpt::LoadError::None);
-    const ckpt::StoreCounters c = store.counters();
-    EXPECT_EQ(c.written, 1u);
-    EXPECT_EQ(c.loaded, 1u);
-    EXPECT_EQ(c.degraded(), 0u);
-}
-
-TEST(CheckpointStore, DegradationClassesAreDistinguished)
-{
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, test_config_hash);
-
-    // Missing file.
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(store.load("absent", r), ckpt::LoadError::Io);
-    EXPECT_EQ(store.counters().degraded_missing, 1u);
-
-    // Corrupt payload.
-    ckpt::CheckpointWriter w(store.configHash());
-    w.section(ckpt::fourcc("AAAA")).str("payload-bytes");
-    ASSERT_TRUE(store.save("corrupt", w));
-    {
-        auto bytes = ckpt::readFileBytes(store.pathFor("corrupt"));
-        ASSERT_TRUE(bytes.has_value());
-        bytes->back() ^= 0x01;
-        ASSERT_TRUE(ckpt::atomicWriteFile(store.pathFor("corrupt"),
-                                          bytes->data(),
-                                          bytes->size()));
-    }
-    EXPECT_EQ(store.load("corrupt", r),
-              ckpt::LoadError::BadSectionCrc);
-    EXPECT_EQ(store.counters().degraded_corrupt, 1u);
-
-    // Honest version skew (header CRC kept consistent).
-    ASSERT_TRUE(store.save("skew", w));
-    {
-        auto bytes = ckpt::readFileBytes(store.pathFor("skew"));
-        ASSERT_TRUE(bytes.has_value());
-        (*bytes)[4] += 1;
-        fixHeaderCrc(*bytes, 1);
-        ASSERT_TRUE(ckpt::atomicWriteFile(store.pathFor("skew"),
-                                          bytes->data(),
-                                          bytes->size()));
-    }
-    EXPECT_EQ(store.load("skew", r), ckpt::LoadError::BadVersion);
-    EXPECT_EQ(store.counters().degraded_version, 1u);
-
-    // Foreign configuration.
-    ckpt::CheckpointStore other(dir.path, test_config_hash + 1);
-    ASSERT_TRUE(store.save("foreign", w));
-    EXPECT_EQ(other.load("foreign", r), ckpt::LoadError::BadConfig);
-    EXPECT_EQ(other.counters().degraded_config, 1u);
-
-    // Nothing ever crashed; totals add up.
-    EXPECT_EQ(store.counters().degraded(), 3u);
-}
-
-TEST(CheckpointStore, NoteMalformedReclassifiesALoad)
-{
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, test_config_hash);
-    ckpt::CheckpointWriter w(store.configHash());
-    w.section(ckpt::fourcc("AAAA")).varint(1);
-    ASSERT_TRUE(store.save("u", w));
-    ckpt::CheckpointReader r;
-    ASSERT_EQ(store.load("u", r), ckpt::LoadError::None);
-    // Container CRCs passed but the payload failed to decode.
-    store.noteMalformed();
-    const ckpt::StoreCounters c = store.counters();
-    EXPECT_EQ(c.loaded, 0u);
-    EXPECT_EQ(c.degraded_corrupt, 1u);
-}
-
-TEST(CheckpointStore, WriteErrorIsCountedNotFatal)
-{
-    ckpt::CheckpointStore store("/nonexistent/dir", 1);
-    ckpt::CheckpointWriter w(1);
-    w.section(ckpt::fourcc("AAAA")).varint(1);
-    std::string why;
-    EXPECT_FALSE(store.save("u", w, &why));
-    EXPECT_FALSE(why.empty());
-    EXPECT_EQ(store.counters().write_errors, 1u);
-    EXPECT_EQ(store.counters().written, 0u);
-}
-
-TEST(CheckpointStore, TwoProcessSaveLoadRaceNeverShowsTornEntry)
-{
-    // The atomic-rename contract: a reader racing a writer on the
-    // same key sees either a complete old entry or a complete new
-    // one — never a torn file. Run a child process hammering saves
-    // of two distinguishable payloads while the parent loads.
-    TempDir dir;
-    const std::string payload_a(4096, 'a');
-    const std::string payload_b(4096, 'b');
-
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        ckpt::CheckpointStore store(dir.path, test_config_hash);
-        for (int i = 0; i < 200; ++i) {
-            ckpt::CheckpointWriter w(store.configHash());
-            w.section(ckpt::fourcc("RACE"))
-                .str(i % 2 ? payload_b : payload_a);
-            if (!store.save("race", w))
-                ::_exit(2);
-        }
-        ::_exit(0);
-    }
-
-    ckpt::CheckpointStore store(dir.path, test_config_hash);
-    int loads_ok = 0;
-    int status = 0;
-    bool child_done = false;
-    // Load as fast as possible for the writer's whole lifetime (plus
-    // one final pass), so loads overlap every save/rename window.
-    while (!child_done) {
-        child_done = ::waitpid(pid, &status, WNOHANG) == pid;
-        ckpt::CheckpointReader r;
-        const ckpt::LoadError e = store.load("race", r);
-        if (e == ckpt::LoadError::Io)
-            continue; // not yet written: fine
-        // Any *visible* entry must validate completely...
-        ASSERT_EQ(e, ckpt::LoadError::None) << "torn entry seen";
-        // ...and decode to one of the two full payloads.
-        ckpt::Decoder d = r.section(ckpt::fourcc("RACE"));
-        const std::string got = d.str();
-        ASSERT_TRUE(d.ok());
-        ASSERT_TRUE(got == payload_a || got == payload_b)
-            << "mixed payload of length " << got.size();
-        ++loads_ok;
-    }
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    EXPECT_GT(loads_ok, 0);
-    // After the writer exits the entry is stably loadable.
-    ckpt::CheckpointReader r;
-    EXPECT_EQ(store.load("race", r), ckpt::LoadError::None);
-}
-
-// ---- Component round-trips ----------------------------------------------
-
-TEST(StateRoundTrip, Cache)
-{
-    Cache src(cacheCfg(8 * KiB, 2));
-    for (std::uint64_t i = 0; i < 500; ++i)
-        src.access(scrambled(i), i % 3 == 0);
-    Cache dst(cacheCfg(8 * KiB, 2));
-    expectRoundTrip(src, dst);
-
-    // The restored cache continues with identical behaviour.
-    for (std::uint64_t i = 0; i < 200; ++i) {
-        const Addr a = scrambled(i * 7 + 1);
-        EXPECT_EQ(src.access(a, false).hit, dst.access(a, false).hit);
-    }
-    EXPECT_EQ(stateBytes(src), stateBytes(dst));
-}
-
-TEST(StateRoundTrip, CacheRejectsForeignGeometry)
-{
-    Cache src(cacheCfg(8 * KiB, 2));
-    src.access(0x100, false);
-    const auto bytes = stateBytes(src);
-
-    Cache other(cacheCfg(16 * KiB, 2));
-    other.access(0x200, false);
-    const auto before = stateBytes(other);
-    ckpt::Decoder d(bytes);
-    other.loadState(d);
-    EXPECT_TRUE(d.failed());
-    EXPECT_NE(d.error().find("geometry"), std::string::npos);
-    // All-or-nothing: the rejected load changed nothing.
-    EXPECT_EQ(stateBytes(other), before);
-}
-
-TEST(StateRoundTrip, CachesRejectAddressesNoAccessMakes)
-{
-    // An empty way is marked by an all-ones tag and an empty victim
-    // entry by an odd block address; a checkpoint that names either
-    // as resident must be refused, leaving the cache untouched.
-    Cache cache(cacheCfg(1 * KiB, 1));  // 32 sets, 1 way
-    cache.access(0x40, false);
-    const auto cache_before = stateBytes(cache);
-    ckpt::Encoder ce;
-    ce.varint(32);  // sets
-    ce.varint(1);   // ways
-    ce.varint(32);  // line size
-    ce.u8(0);       // LRU
-    ce.u64(1);      // replacement RNG
-    ckpt::putAccessStats(ce, AccessStats{});
-    ce.u8(1);       // way 0 valid and clean...
-    ce.varint(~std::uint64_t{0});  // ...with a tag no address has
-    ce.varint(0);
-    ce.varint(1);
-    for (int way = 1; way < 32; ++way)
-        ce.u8(0);
-    ckpt::Decoder cd(ce.data());
-    cache.loadState(cd);
-    EXPECT_TRUE(cd.failed());
-    EXPECT_NE(cd.error().find("tag"), std::string::npos);
-    EXPECT_EQ(stateBytes(cache), cache_before);
-
-    VictimCache vc;
-    vc.insert(0x100);
-    const auto vc_before = stateBytes(vc);
-    ckpt::Encoder ve;
-    ve.varint(16);  // entries
-    ve.varint(32);  // line size
-    ckpt::putAccessStats(ve, AccessStats{});
-    ve.u8(1);
-    ve.varint(0x101);  // not a 32-byte block address
-    ve.varint(1);
-    for (int entry = 1; entry < 16; ++entry)
-        ve.u8(0);
-    ckpt::Decoder vd(ve.data());
-    vc.loadState(vd);
-    EXPECT_TRUE(vd.failed());
-    EXPECT_NE(vd.error().find("unaligned"), std::string::npos);
-    EXPECT_EQ(stateBytes(vc), vc_before);
-}
-
-TEST(StateRoundTrip, VictimCache)
-{
-    VictimCache src;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        src.insert(scrambled(i));
-        src.access(scrambled(i / 2), i % 5 == 0);
-    }
-    VictimCache dst;
-    expectRoundTrip(src, dst);
-    for (std::uint64_t i = 0; i < 50; ++i)
-        EXPECT_EQ(src.probe(scrambled(i)), dst.probe(scrambled(i)));
-}
-
-TEST(StateRoundTrip, ColumnCaches)
-{
-    ColumnDataCache dsrc;
-    ColumnInstrCache isrc;
-    for (std::uint64_t i = 0; i < 400; ++i) {
-        dsrc.access(scrambled(i), i % 4 == 0);
-        isrc.fetch(0x10000 + (scrambled(i) & 0xffff));
-    }
-    ColumnDataCache ddst;
-    ColumnInstrCache idst;
-    expectRoundTrip(dsrc, ddst);
-    expectRoundTrip(isrc, idst);
-    // Continuation equivalence for the data side.
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        const Addr a = scrambled(i * 3 + 5);
-        EXPECT_EQ(dsrc.access(a, true), ddst.access(a, true));
-    }
-    EXPECT_EQ(stateBytes(dsrc), stateBytes(ddst));
-}
-
-TEST(StateRoundTrip, SyntheticWorkloadContinuation)
-{
-    const SpecWorkload &wl = specSuite().front();
-    SyntheticWorkload src(wl.proxy);
-    std::vector<MemRef> sink;
-    src.generateBatch(5'000, sink);
-
-    const auto bytes = stateBytes(src);
-    SyntheticWorkload dst(wl.proxy);
-    ckpt::Decoder d(bytes);
-    dst.loadState(d);
-    ASSERT_TRUE(d.ok()) << d.error();
-    ASSERT_TRUE(d.atEnd());
-
-    // Both generators must now emit the exact same future stream.
-    std::vector<MemRef> a, b;
-    src.generateBatch(2'000, a);
-    dst.generateBatch(2'000, b);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].pc, b[i].pc);
-        EXPECT_EQ(a[i].addr, b[i].addr);
-        EXPECT_EQ(a[i].type, b[i].type);
-    }
-}
-
-TEST(StateRoundTrip, SyntheticWorkloadRejectsForeignSpec)
-{
-    const SpecWorkload &wl = specSuite().front();
-    SyntheticWorkload src(wl.proxy);
-    const auto bytes = stateBytes(src);
-
-    SyntheticSpec other = wl.proxy;
-    other.seed += 1;
-    SyntheticWorkload dst(other);
-    ckpt::Decoder d(bytes);
-    dst.loadState(d);
-    EXPECT_TRUE(d.failed());
-}
-
-// ---- Result serialization (journal payloads) ----------------------------
-
-TEST(ResultCodec, WorkloadMissRatesRoundTrip)
-{
-    WorkloadMissRates r;
-    r.workload = "126.gcc";
-    CacheMissResult c;
-    c.label = "proposed";
-    c.stats.load_hits.inc(100);
-    c.stats.load_misses.inc(7);
-    r.icaches.push_back(c);
-    c.label = "conv-16K-dm";
-    c.stats.store_misses.inc(12);
-    r.dcaches.push_back(c);
-
-    ckpt::Encoder e;
-    encodeResult(e, r);
-    ckpt::Decoder d(e.data());
-    WorkloadMissRates back;
-    ASSERT_TRUE(decodeResult(d, back));
-    ckpt::Encoder e2;
-    encodeResult(e2, back);
-    EXPECT_EQ(e2.data(), e.data());
-
-    // Truncated payloads are refused without touching the output.
-    auto bytes = e.take();
-    bytes.pop_back();
-    ckpt::Decoder d2(bytes);
-    WorkloadMissRates untouched;
-    untouched.workload = "sentinel";
-    EXPECT_FALSE(decodeResult(d2, untouched));
-    EXPECT_EQ(untouched.workload, "sentinel");
-}
-
-// ---- Checkpoint-accelerated sampling -------------------------------------
-
-namespace {
-
-/** Journal payload with the acceleration bookkeeping masked out —
- *  restored and rewarmed runs must agree on everything else. */
-std::vector<std::uint8_t>
-measurementBytes(SampledWorkloadMissRates r)
-{
-    r.ckpt_restored_units = 0;
-    r.ckpt_saved_units = 0;
-    r.ckpt_degraded_units = 0;
-    ckpt::Encoder e;
-    encodeResult(e, r);
-    return e.take();
-}
-
-} // namespace
-
-TEST(CkptAcceleration, RestoreMatchesRewarmByteForByte)
-{
-    const SpecWorkload &wl = specSuite().front();
-    MissRateParams params;
-    params.stationary_start = true;
-    SamplingPlan plan;
-    plan.scheme = SampleScheme::Stratified;
-    plan.units = 4;
-    plan.unit_refs = 300;
-    plan.warmup_refs = 600;
-    plan.validate();
-
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, samplingPlanHash(plan));
-
-    // Cold accelerated run: every unit degrades (missing) and then
-    // populates the store.
-    const SampledWorkloadMissRates cold =
-        measureMissRatesSampled(wl, params, plan, &store);
-    EXPECT_EQ(cold.ckpt_restored_units, 0u);
-    EXPECT_EQ(cold.ckpt_degraded_units, 4u);
-    EXPECT_EQ(cold.ckpt_saved_units, 4u);
-    EXPECT_EQ(store.counters().written, 4u);
-
-    // Warm accelerated run: every warm phase is a checkpoint load.
-    const SampledWorkloadMissRates warm =
-        measureMissRatesSampled(wl, params, plan, &store);
-    EXPECT_EQ(warm.ckpt_restored_units, 4u);
-    EXPECT_EQ(warm.ckpt_degraded_units, 0u);
-
-    // Plain run without any store.
-    const SampledWorkloadMissRates plain =
-        measureMissRatesSampled(wl, params, plan);
-    EXPECT_EQ(plain.ckpt_restored_units, 0u);
-    EXPECT_EQ(plain.ckpt_degraded_units, 0u);
-
-    // All three must be byte-identical measurements — restored warm
-    // state IS the state a cold run reaches, and warm_refs is still
-    // accounted for restored units.
-    EXPECT_EQ(measurementBytes(cold), measurementBytes(plain));
-    EXPECT_EQ(measurementBytes(warm), measurementBytes(plain));
-    EXPECT_EQ(warm.warm_refs, plain.warm_refs);
-}
-
-TEST(CkptAcceleration, CorruptUnitDegradesGracefully)
-{
-    const SpecWorkload &wl = specSuite().front();
-    MissRateParams params;
-    SamplingPlan plan;
-    plan.scheme = SampleScheme::Stratified;
-    plan.units = 3;
-    plan.unit_refs = 200;
-    plan.warmup_refs = 400;
-    plan.validate();
-
-    TempDir dir;
-    ckpt::CheckpointStore store(dir.path, samplingPlanHash(plan));
-    const SampledWorkloadMissRates cold =
-        measureMissRatesSampled(wl, params, plan, &store);
-
-    // Corrupt one unit's file; the others stay intact.
-    const std::string victim =
-        store.pathFor(wl.name + "-u1");
-    auto bytes = ckpt::readFileBytes(victim);
-    ASSERT_TRUE(bytes.has_value());
-    bytes->back() ^= 0x10;
-    ASSERT_TRUE(ckpt::atomicWriteFile(victim, bytes->data(),
-                                      bytes->size()));
-
-    ckpt::CheckpointStore store2(dir.path, samplingPlanHash(plan));
-    const SampledWorkloadMissRates mixed =
-        measureMissRatesSampled(wl, params, plan, &store2);
-    EXPECT_EQ(mixed.ckpt_restored_units, 2u);
-    EXPECT_EQ(mixed.ckpt_degraded_units, 1u);
-    EXPECT_EQ(store2.counters().degraded_corrupt, 1u);
-    // The rewarmed unit reproduces the same measurement anyway.
-    EXPECT_EQ(measurementBytes(mixed), measurementBytes(cold));
 }
