@@ -154,11 +154,18 @@ TEST(Interpreter, DivisionSemantics)
         addi r2, r0, 2
         div  r3, r1, r2
         rem  r4, r1, r2
+        li   r5, 0x80000000
+        addi r6, r0, -1
+        div  r7, r5, r6
+        rem  r8, r5, r6
         halt
     )");
     m.cpu.run(100);
     EXPECT_EQ(m.cpu.state().reg(3), 3u);
     EXPECT_EQ(m.cpu.state().reg(4), 1u);
+    // INT_MIN / -1 wraps; INT_MIN % -1 is zero (no UB on the host).
+    EXPECT_EQ(m.cpu.state().reg(7), 0x80000000u);
+    EXPECT_EQ(m.cpu.state().reg(8), 0u);
 }
 
 TEST(Interpreter, DivideByZeroTraps)
@@ -201,6 +208,22 @@ TEST(Interpreter, BadInstructionStops)
 {
     TestMachine m(".word 0xf4000000\n");  // invalid opcode 0x3d
     EXPECT_EQ(m.cpu.run(10), StopReason::BadInstruction);
+
+    // After a retiring instruction: the bad word stops without
+    // retiring, the pc stays on it, and its fetch is the last ref.
+    TestMachine after(R"(
+        addi r1, r0, 9
+        .word 0xf4000000
+        halt
+    )");
+    const Addr entry = after.cpu.state().pc;
+    std::vector<MemRef> refs;
+    const RefSink sink = [&](const MemRef &r) { refs.push_back(r); };
+    EXPECT_EQ(after.cpu.run(10, &sink), StopReason::BadInstruction);
+    EXPECT_EQ(after.cpu.state().pc, entry + 4);
+    EXPECT_EQ(after.cpu.stats().instructions, 1u);
+    ASSERT_EQ(refs.size(), 2u);
+    EXPECT_TRUE(refs.back() == MemRef::fetch(entry + 4));
 }
 
 TEST(Interpreter, EmitsReferenceStream)
@@ -302,6 +325,18 @@ TEST(Interpreter, AlignmentTrapCanBeDisabled)
     EXPECT_EQ(m.cpu.state().reg(1), 0u);
     EXPECT_EQ(m.cpu.stats().loads, 1u);
     EXPECT_EQ(m.cpu.stats().stores, 1u);
+
+    // A word straddling a 4 KiB page boundary reads back whole.
+    TestMachine straddle(R"(
+        li  r10, 0x10ffe
+        li  r1, 0xa1b2c3d4
+        sw  r1, 0(r10)
+        lw  r2, 0(r10)
+        halt
+    )");
+    straddle.cpu.setAlignmentTrap(false);
+    EXPECT_EQ(straddle.cpu.run(100), StopReason::Halted);
+    EXPECT_EQ(straddle.cpu.state().reg(2), 0xa1b2c3d4u);
 }
 
 TEST(Interpreter, RunMatchesCappedStepLoop)
