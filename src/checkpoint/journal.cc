@@ -59,7 +59,7 @@ scanJournal(const std::string &path, std::string *why)
         scan.records[static_cast<std::size_t>(index)] =
             std::move(payload);
         scan.valid_bytes +=
-            record_header + static_cast<std::size_t>(len);
+            SweepJournal::recordBytes(static_cast<std::size_t>(len));
     }
     scan.torn_bytes = bytes->size() - scan.valid_bytes;
     return scan;
@@ -139,6 +139,7 @@ SweepJournal::open(const std::string &path, std::uint64_t run_hash,
         close();
         return false;
     }
+    bytes_ = valid_len;
     return true;
 }
 
@@ -180,7 +181,14 @@ SweepJournal::append(std::size_t index,
         return false;
     }
     records_[index] = payload;
+    bytes_ += buf.size();
     return true;
+}
+
+std::size_t
+SweepJournal::recordBytes(std::size_t payload_bytes)
+{
+    return record_header + payload_bytes;
 }
 
 void
@@ -191,6 +199,7 @@ SweepJournal::close()
         fd_ = -1;
     }
     path_.clear();
+    bytes_ = 0;
 }
 
 } // namespace ckpt

@@ -102,6 +102,15 @@ class SweepJournal
         return records_;
     }
 
+    /**
+     * Bytes of the file: the header plus every record open() kept
+     * or append() wrote. 0 while closed.
+     */
+    std::size_t bytes() const { return bytes_; }
+
+    /** Bytes a record with an @p payload_bytes payload takes. */
+    static std::size_t recordBytes(std::size_t payload_bytes);
+
     /** Records recovered from a previous run at open(). */
     std::size_t recovered() const { return recovered_; }
     /** Torn bytes truncated from the tail at open(). */
@@ -113,6 +122,7 @@ class SweepJournal
     int fd_ = -1;
     std::string path_; ///< for error messages naming the file
     std::map<std::size_t, std::vector<std::uint8_t>> records_;
+    std::size_t bytes_ = 0;
     std::size_t recovered_ = 0;
     std::size_t torn_bytes_ = 0;
     bool discarded_foreign_ = false;

@@ -18,8 +18,6 @@ namespace server {
 
 namespace {
 
-/** Journal framing overhead per record (index + len + crc). */
-constexpr std::uint64_t record_overhead = 8 + 8 + 4;
 /** Results are figure JSON documents, well under this. */
 constexpr std::size_t max_result_bytes = 8u << 20;
 
@@ -66,7 +64,6 @@ ResultCache::open(const std::string &dir, std::uint64_t cap_bytes,
     // Replay: records are keyed by insertion sequence, so the map
     // walk reproduces insertion order and seq bookkeeping exactly.
     entries_.clear();
-    journal_bytes_ = 4 + 4 + 8; // journal header
     next_seq_ = 0;
     for (const auto &[seq, payload] : journal_.records()) {
         ckpt::Decoder d(payload);
@@ -82,7 +79,6 @@ ResultCache::open(const std::string &dir, std::uint64_t cap_bytes,
             Entry{result, static_cast<std::uint64_t>(seq)};
         next_seq_ =
             std::max(next_seq_, static_cast<std::uint64_t>(seq) + 1);
-        journal_bytes_ += record_overhead + payload.size();
     }
     recovered_ = entries_.size();
     torn_bytes_ = journal_.tornBytes();
@@ -99,7 +95,6 @@ ResultCache::close()
     torn_bytes_ = 0;
     discarded_foreign_ = false;
     compactions_ = 0;
-    journal_bytes_ = 0;
     next_seq_ = 0;
 }
 
@@ -111,25 +106,15 @@ ResultCache::lookup(const std::string &canonical) const
 }
 
 bool
-ResultCache::appendRecord(const std::string &canonical,
-                          const std::string &result, std::string *why)
-{
-    const auto payload = encodePayload(canonical, result);
-    if (!journal_.append(static_cast<std::size_t>(next_seq_), payload,
-                         why))
-        return false;
-    journal_bytes_ += record_overhead + payload.size();
-    return true;
-}
-
-bool
 ResultCache::insert(const std::string &canonical,
                     const std::string &result, std::string *why)
 {
-    const bool appended = appendRecord(canonical, result, why);
+    const bool appended =
+        journal_.append(static_cast<std::size_t>(next_seq_),
+                        encodePayload(canonical, result), why);
     entries_[canonical] = Entry{result, next_seq_};
     ++next_seq_;
-    if (appended && cap_bytes_ > 0 && journal_bytes_ > cap_bytes_) {
+    if (appended && cap_bytes_ > 0 && journal_.bytes() > cap_bytes_) {
         std::string compact_why;
         if (!compact(&compact_why))
             MW_WARN("result cache: compaction failed: ", compact_why);
@@ -140,10 +125,17 @@ ResultCache::insert(const std::string &canonical,
 bool
 ResultCache::compact(std::string *why)
 {
+    const std::string tmp = journal_path_ + ".compact";
+    ::unlink(tmp.c_str());
+    ckpt::SweepJournal rewrite;
+    if (!rewrite.open(tmp, run_hash_, why))
+        return false;
+
     // Newest-first, keep while under the cap (the newest entry is
     // always kept even if it alone busts the cap), then rewrite the
-    // keepers oldest-first into a temp journal renamed over the old
-    // one — crash mid-compaction leaves the previous journal intact.
+    // keepers oldest-first into the temp journal, renamed over the
+    // old one — crash mid-compaction leaves the previous journal
+    // intact.
     std::vector<std::pair<std::uint64_t, const std::string *>> order;
     order.reserve(entries_.size());
     for (const auto &[canonical, entry] : entries_)
@@ -156,11 +148,12 @@ ResultCache::compact(std::string *why)
     std::vector<std::pair<const std::string *,
                           std::vector<std::uint8_t>>>
         keep;
-    std::uint64_t bytes = 4 + 4 + 8;
+    std::uint64_t bytes = rewrite.bytes(); // the fresh header
     for (const auto &[seq, canonical] : order) {
         auto payload =
             encodePayload(*canonical, entries_[*canonical].result);
-        const std::uint64_t cost = record_overhead + payload.size();
+        const std::uint64_t cost =
+            ckpt::SweepJournal::recordBytes(payload.size());
         if (!keep.empty() && bytes + cost > cap_bytes_)
             break;
         bytes += cost;
@@ -168,20 +161,14 @@ ResultCache::compact(std::string *why)
     }
     std::reverse(keep.begin(), keep.end()); // back to oldest-first
 
-    const std::string tmp = journal_path_ + ".compact";
-    ::unlink(tmp.c_str());
-    {
-        ckpt::SweepJournal rewrite;
-        if (!rewrite.open(tmp, run_hash_, why))
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+        if (!rewrite.append(i, keep[i].second, why)) {
+            rewrite.close();
+            ::unlink(tmp.c_str());
             return false;
-        for (std::size_t i = 0; i < keep.size(); ++i) {
-            if (!rewrite.append(i, keep[i].second, why)) {
-                rewrite.close();
-                ::unlink(tmp.c_str());
-                return false;
-            }
         }
     }
+    rewrite.close();
 
     journal_.close();
     if (::rename(tmp.c_str(), journal_path_.c_str()) != 0) {
@@ -206,7 +193,6 @@ ResultCache::compact(std::string *why)
             Entry{std::move(entries_[*keep[i].first].result), i};
     entries_ = std::move(survivors);
     next_seq_ = keep.size();
-    journal_bytes_ = bytes;
     ++compactions_;
     return true;
 }

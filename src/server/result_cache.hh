@@ -83,15 +83,12 @@ class ResultCache
         std::uint64_t seq = 0; ///< insertion order, for compaction
     };
 
-    bool appendRecord(const std::string &canonical,
-                      const std::string &result, std::string *why);
     bool compact(std::string *why);
 
     std::string journal_path_;
     std::uint64_t run_hash_ = 0;
     std::uint64_t cap_bytes_ = 0;
     std::uint64_t next_seq_ = 0;
-    std::uint64_t journal_bytes_ = 0; ///< approximate file size
     std::uint64_t compactions_ = 0;
     std::size_t recovered_ = 0;
     std::size_t torn_bytes_ = 0;

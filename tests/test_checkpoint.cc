@@ -223,11 +223,19 @@ TEST(SweepJournal, AppendCloseRecover)
         std::string why;
         ASSERT_TRUE(j.open(path, 42, &why)) << why;
         EXPECT_EQ(j.recovered(), 0u);
-        for (std::size_t i = 0; i < 3; ++i)
+        std::size_t expect = j.bytes(); // a fresh journal's header
+        for (std::size_t i = 0; i < 3; ++i) {
             ASSERT_TRUE(j.append(i, payloadFor(i), &why)) << why;
+            expect += ckpt::SweepJournal::recordBytes(
+                payloadFor(i).size());
+        }
+        // The journal accounts for exactly the bytes it wrote.
+        EXPECT_EQ(j.bytes(), expect);
+        EXPECT_EQ(j.bytes(), ckpt::readFileBytes(path)->size());
     }
     ckpt::SweepJournal j;
     ASSERT_TRUE(j.open(path, 42));
+    EXPECT_EQ(j.bytes(), ckpt::readFileBytes(path)->size());
     EXPECT_EQ(j.recovered(), 3u);
     EXPECT_EQ(j.tornBytes(), 0u);
     EXPECT_FALSE(j.discardedForeign());
@@ -260,6 +268,7 @@ TEST(SweepJournal, TornTailTruncatedAndAppendable)
     ASSERT_TRUE(j.open(path, 42));
     EXPECT_EQ(j.recovered(), 2u);
     EXPECT_GT(j.tornBytes(), 0u);
+    EXPECT_EQ(j.bytes(), ckpt::readFileBytes(path)->size());
     ASSERT_EQ(j.records().count(1), 1u);
     // The journal is append-clean again after truncation.
     ASSERT_TRUE(j.append(2, payloadFor(2)));

@@ -689,6 +689,44 @@ TEST(ResultCacheTest, CompactionEvictsOldestWhenOverCap)
     EXPECT_NE(reopened.lookup("key5"), nullptr);
 }
 
+TEST(ResultCacheTest, CompactionStartsJustPastTheCap)
+{
+    // Measure the journal header and one record from the file.
+    const std::string blob(600, 'r');
+    std::string why;
+    std::uint64_t header = 0, record = 0;
+    {
+        TempDir probe;
+        ResultCache cache;
+        ASSERT_TRUE(cache.open(probe.path(), 0, &why)) << why;
+        const std::string file = probe.path() + "/results.mwsj";
+        header = std::filesystem::file_size(file);
+        ASSERT_TRUE(cache.insert("key0", blob, &why)) << why;
+        record = std::filesystem::file_size(file) - header;
+    }
+
+    // Room for exactly k records: k inserts fit, the next compacts.
+    constexpr int k = 3;
+    TempDir dir;
+    const std::string file = dir.path() + "/results.mwsj";
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(dir.path(), header + k * record, &why))
+        << why;
+    for (int i = 0; i < k; ++i)
+        ASSERT_TRUE(
+            cache.insert("key" + std::to_string(i), blob, &why))
+            << why;
+    EXPECT_EQ(cache.compactions(), 0u);
+    EXPECT_EQ(std::filesystem::file_size(file), header + k * record);
+
+    ASSERT_TRUE(cache.insert("key" + std::to_string(k), blob, &why))
+        << why;
+    EXPECT_EQ(cache.compactions(), 1u);
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(cache.lookup("key0"), nullptr);
+    EXPECT_EQ(std::filesystem::file_size(file), header + k * record);
+}
+
 TEST(ResultCacheTest, DuplicateInsertKeepsLatestAcrossReopen)
 {
     TempDir dir;
