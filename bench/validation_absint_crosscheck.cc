@@ -11,8 +11,9 @@
  *    indices, calls with genuine save/restore frames, div/rem, and
  *    occasional planted bugs (div-by-zero, misaligned access,
  *    out-of-section access, uninitialised load, out-of-table jump);
- *  - instruction soup in the style of validation_exec_lockstep:
- *    branchy spaghetti that stresses the fixpoint on irregular CFGs.
+ *  - instruction soup: branchy spaghetti of random ALU, memory and
+ *    branch instructions that stresses the fixpoint on irregular
+ *    CFGs.
  *
  * Every program is analysed (AbsInt + lint) and then stepped on the
  * reference interpreter, asserting:
@@ -391,8 +392,9 @@ generateStructured(Rng &rng)
 }
 
 // ----------------------------------------------------------------
-// Soup generator (validation_exec_lockstep's, minus the statically
-// unresolvable jalr-through-r26 so most programs stay analysable).
+// Soup generator: random ALU, memory, branch and jal words. It emits
+// no jalr, whose target analysis could not resolve, so most programs
+// stay analysable.
 // ----------------------------------------------------------------
 
 unsigned

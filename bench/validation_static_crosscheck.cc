@@ -43,7 +43,6 @@
 #include "analysis/charact.hh"
 #include "analysis/lint.hh"
 #include "bench_util.hh"
-#include "exec/fast_executor.hh"
 #include "isa/assembler.hh"
 #include "isa/interpreter.hh"
 #include "mem/backing_store.hh"
@@ -179,9 +178,7 @@ runKernel(const Kernel &k)
     // touched-byte intervals.
     BackingStore mem;
     asmprog.loadInto(mem);
-    // Fast path by default; MEMWALL_FASTPATH=0 falls back to the
-    // plain interpreter with byte-identical output (CI diffs both).
-    FastExecutor cpu(mem, asmprog);
+    Interpreter cpu(mem);
     cpu.setPc(asmprog.entry);
 
     std::map<Addr, Cls> cls_of;

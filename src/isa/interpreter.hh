@@ -102,11 +102,6 @@ class Interpreter
     StopReason lastStop() const { return last_stop_; }
 
   private:
-    // The execution fast path (src/exec/) shares this architectural
-    // state so fast traces and interpreter fallback steps observe a
-    // single source of truth.
-    friend class FastExecutor;
-
     BackingStore &mem_;
     CpuState state_;
     ExecStats stats_;

@@ -44,25 +44,6 @@ class BackingStore
     /** Copy @p bytes into memory starting at @p addr. */
     void writeBlock(Addr addr, std::span<const std::uint8_t> in);
 
-    /**
-     * Writable page holding @p addr, materialising it on first
-     * touch. Page storage is stable for the lifetime of the store —
-     * pages are never freed or moved — so callers may cache the
-     * pointer; the execution fast path keeps a one-entry TLB of it.
-     */
-    std::uint8_t *page(Addr addr) { return pageFor(addr); }
-
-    /**
-     * Read-only page holding @p addr, or nullptr when the page was
-     * never written (such pages read as zero and must NOT be
-     * materialised by a load — allocatedPages() is observable).
-     */
-    const std::uint8_t *
-    pageIfPresent(Addr addr) const
-    {
-        return pageForRead(addr);
-    }
-
     /** Number of pages materialised so far. */
     std::size_t allocatedPages() const { return pages_.size(); }
 

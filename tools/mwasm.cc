@@ -21,7 +21,6 @@
 #include <string>
 
 #include "core/memwall.hh"
-#include "exec/fast_executor.hh"
 
 using namespace memwall;
 
@@ -111,9 +110,7 @@ cmdRun(int argc, char **argv)
     const AssembledProgram prog = assembleFile(path);
     BackingStore mem;
     prog.loadInto(mem);
-    // Fast path by default; MEMWALL_FASTPATH=0 selects the plain
-    // interpreter (identical results, for differential debugging).
-    FastExecutor cpu(mem, prog);
+    Interpreter cpu(mem);
     cpu.setPc(prog.entry);
 
     TraceBuffer trace;
