@@ -725,6 +725,18 @@ TEST(ResultCacheTest, CompactionStartsJustPastTheCap)
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(k));
     EXPECT_EQ(cache.lookup("key0"), nullptr);
     EXPECT_EQ(std::filesystem::file_size(file), header + k * record);
+
+    // One byte less and the k-th insert already compacts.
+    TempDir tight_dir;
+    ResultCache tight;
+    ASSERT_TRUE(
+        tight.open(tight_dir.path(), header + k * record - 1, &why))
+        << why;
+    for (int i = 0; i < k; ++i)
+        ASSERT_TRUE(
+            tight.insert("key" + std::to_string(i), blob, &why))
+            << why;
+    EXPECT_EQ(tight.compactions(), 1u);
 }
 
 TEST(ResultCacheTest, DuplicateInsertKeepsLatestAcrossReopen)
