@@ -9,7 +9,7 @@
  *
  * Flags beyond bench_util's core set:
  *   fig7, fig8     --sample PLAN;
- *   fig13..fig17   --sample PLAN; --nodes N, one processor count.
+ *   fig13..fig17   --nodes N, one processor count.
  * A flag the experiment does not read is a usage error (exit 2), by
  * the rule mw-server applies to the same request field.
  */
@@ -35,7 +35,7 @@ using CatalogResults = std::vector<std::shared_ptr<void>>;
 inline constexpr std::initializer_list<const char *> missrate_flags = {
     "--sample"};
 inline constexpr std::initializer_list<const char *> splash_flags = {
-    "--sample", "--nodes"};
+    "--nodes"};
 
 /**
  * Run catalog experiment @p exp as a one-shot bench titled @p title;

@@ -2,37 +2,25 @@
  * @file
  * Validation: sampled simulation vs exhaustive simulation.
  *
- * Two legs, mirroring the two simulation styles in the repo. For
- * each, the headline metrics must land inside the sampled confidence
+ * Every suite workload's Figure 7/8 headline miss rates (proposed
+ * icache, proposed+victim dcache) are measured under BOTH sampling
+ * schemes, each against the exhaustive reference that measures the
+ * same population, and must land inside the sampled confidence
  * interval (or within a small absolute tolerance, for near-zero
- * values whose sampled variance collapses).
+ * values whose sampled variance collapses):
  *
- *   SPEC    every suite workload's Figure 7/8 headline miss rates
- *           (proposed icache, proposed+victim dcache), under BOTH
- *           sampling schemes, each against the exhaustive reference
- *           that measures the same population:
- *             systematic  vs the windowed exhaustive run (same
- *                         stream, same measurement window);
- *             stratified  vs a steady-state exhaustive run
- *                         (stationary_start — scatterState() then
- *                         warm up), since independent stationary
- *                         substreams estimate the steady-state rate,
- *                         not a particular cold-start window.
- *   SPLASH  all five kernels under the execution-driven CC-NUMA
- *           model. The reference value is the mean per-unit data
- *           access latency of an all-detail plan (k=1, W=0 — timing
- *           identical to the unsampled run); the systematic sampled
- *           run's confidence interval must cover it, and the
- *           checksums must match exactly (sampling may never perturb
- *           computed results).
+ *   systematic  vs the windowed exhaustive run (same stream, same
+ *               measurement window);
+ *   stratified  vs a steady-state exhaustive run (stationary_start —
+ *               scatterState() then warm up), since independent
+ *               stationary substreams estimate the steady-state
+ *               rate, not a particular cold-start window.
  *
  * Text mode also times the runs and enforces an aggregate wall-clock
- * speedup (--min-speedup, default 5) over the production sampling
- * configurations: stratified for the trace-driven SPEC leg (the fast
- * mode fig7/fig8 --sample defaults to) and the systematic sampler
- * for SPLASH. The systematic SPEC scheme replays the entire stream
- * by construction, so its (smaller) speedup is reported but not
- * gated. With `--format json` the output carries no wall-clock
+ * speedup (--min-speedup, default 5) of the stratified scheme, the
+ * production mode, over its exhaustive reference. The systematic
+ * scheme replays the entire stream by construction, so its (smaller)
+ * speedup is reported but not gated. With `--format json` the output carries no wall-clock
  * times, so it is byte-identical across runs and across --jobs
  * values — CI diffs it against a committed golden file.
  */
@@ -48,8 +36,6 @@
 #include "common/table.hh"
 #include "harness/parallel_sweep.hh"
 #include "workloads/missrate.hh"
-#include "workloads/splash/splash.hh"
-#include "workloads/splash_figures.hh"
 
 using namespace memwall;
 using namespace memwall::cachelabels;
@@ -104,16 +90,15 @@ struct Check
     bool pass = false;
 };
 
-/** One crosschecked workload or kernel. */
+/** One crosschecked workload. */
 struct Point
 {
     std::string name;
     std::vector<Check> checks;
-    bool checksum_match = true;  ///< SPLASH only; true for SPEC
-    /** Speedup-gated pair: exhaustive vs production sampling. */
+    /** Speedup-gated pair: steady-state full vs stratified. */
     double full_s = 0.0;
     double sampled_s = 0.0;
-    /** Ungated pair (SPEC only): windowed full vs systematic. */
+    /** Ungated pair: windowed full vs systematic. */
     double sys_full_s = 0.0;
     double sys_sampled_s = 0.0;
 };
@@ -160,8 +145,6 @@ constexpr double spec_sys_abs_tol = 0.0015;
  * for the headline metrics is 0.3 percentage points.
  */
 constexpr double spec_strat_abs_tol = 0.003;
-/** Latencies are a handful of cycles. */
-constexpr double splash_abs_tol = 0.25;
 
 Point
 runSpecPoint(const SpecWorkload &w, const MissRateParams &params,
@@ -211,58 +194,8 @@ runSpecPoint(const SpecWorkload &w, const MissRateParams &params,
     return pt;
 }
 
-Point
-runSplashPoint(const std::string &kernel, double scale,
-               const SamplingPlan &sampled_plan,
-               const TimingReps &reps)
-{
-    // All-detail plan: every access is a detail access, so the run
-    // is timing-identical to the unsampled simulator and its mean
-    // unit latency is the exhaustive reference value.
-    SamplingPlan full_plan = sampled_plan;
-    full_plan.warmup_refs = 0;
-    full_plan.period_units = 1;
-
-    SplashParams params;
-    params.nprocs = 4;
-    params.machine = splashMachineFor("integrated+vc", 4);
-    params.scale = scale;
-
-    Point pt;
-    pt.name = kernel;
-
-    params.sampling = &full_plan;
-    const SplashResult full = timedBest(
-        reps.full, pt.full_s,
-        [&] { return runSplash(kernel, params); });
-
-    params.sampling = &sampled_plan;
-    const SplashResult sampled = timedBest(
-        reps.sampled, pt.sampled_s,
-        [&] { return runSplash(kernel, params); });
-
-    pt.checksum_match = full.checksum == sampled.checksum;
-
-    Check c;
-    c.metric = "mean access latency";
-    c.full = full.sampled_latency;
-    c.mean = sampled.sampled_latency;
-    c.half = sampled.sampled_latency_half;
-    c.units = sampled.sample_units;
-    ConfidenceInterval ci;
-    ci.mean = c.mean;
-    ci.half_width = c.half;
-    ci.n = c.units;
-    ci.valid = c.units >= 2;
-    c.pass = covered(c.full, ci, splash_abs_tol) &&
-             pt.checksum_match;
-    pt.checks.push_back(c);
-    return pt;
-}
-
 void
-printJson(const std::vector<Point> &spec,
-          const std::vector<Point> &splash, int failed)
+printJson(const std::vector<Point> &spec, int failed)
 {
     const auto checks = [](const Point &pt, const char *indent) {
         for (std::size_t i = 0; i < pt.checks.size(); ++i) {
@@ -283,15 +216,6 @@ printJson(const std::vector<Point> &spec,
                     spec[i].name.c_str());
         checks(spec[i], "      ");
         std::printf("    ]}%s\n", i + 1 < spec.size() ? "," : "");
-    }
-    std::printf("  ],\n  \"splash\": [\n");
-    for (std::size_t i = 0; i < splash.size(); ++i) {
-        std::printf("    {\"kernel\": \"%s\", \"checksum_match\": "
-                    "%s, \"checks\": [\n",
-                    splash[i].name.c_str(),
-                    splash[i].checksum_match ? "true" : "false");
-        checks(splash[i], "      ");
-        std::printf("    ]}%s\n", i + 1 < splash.size() ? "," : "");
     }
     std::printf("  ],\n  \"failed\": %d\n}\n", failed);
 }
@@ -320,9 +244,6 @@ main(int argc, char **argv)
                   : "mode=strat,U=1000,W=2000,n=30");
     spec_strat_plan.seed = opt.seed;
 
-    const SamplingPlan splash_plan =
-        parseSamplingPlan("U=500,W=1000,k=50");
-
     // The speedup gate compares wall-clock on a possibly loaded
     // host; best-of-N per side keeps the measurement robust. Quick
     // runs are cheap enough to repeat; full runs take the single
@@ -332,11 +253,8 @@ main(int argc, char **argv)
         reps.full = 2;
         reps.sampled = 3;
     }
-    const std::vector<std::pair<std::string, double>> kernels{
-        {"lu", 0.5},     {"mp3d", 1.0},  {"ocean", 1.0},
-        {"water", 1.0},  {"pthor", 0.3}};
 
-    std::vector<Point> spec, splash;
+    std::vector<Point> spec;
     ParallelSweep<Point> sweep(opt.jobs, opt.seed);
     for (const auto &w : specSuite())
         sweep.submit(
@@ -348,35 +266,21 @@ main(int argc, char **argv)
             [&spec](const PointContext &, Point pt) {
                 spec.push_back(std::move(pt));
             });
-    for (const auto &[kernel, full_scale] : kernels) {
-        const double scale =
-            opt.quick ? full_scale / 6.0 : full_scale;
-        sweep.submit(
-            [kernel = kernel, scale, &splash_plan,
-             &reps](const PointContext &) {
-                return runSplashPoint(kernel, scale, splash_plan,
-                                      reps);
-            },
-            [&splash](const PointContext &, Point pt) {
-                splash.push_back(std::move(pt));
-            });
-    }
     sweep.finish();
 
     int failed = 0;
-    for (const auto *leg : {&spec, &splash})
-        for (const Point &pt : *leg)
-            for (const Check &c : pt.checks)
-                if (!c.pass)
-                    ++failed;
+    for (const Point &pt : spec)
+        for (const Check &c : pt.checks)
+            if (!c.pass)
+                ++failed;
 
     if (opt.json()) {
-        printJson(spec, splash, failed);
+        printJson(spec, failed);
         return failed != 0 ? 1 : 0;
     }
 
     TextTable spec_table(
-        "SPEC leg: exhaustive miss rate vs sampled CI (%)");
+        "Exhaustive miss rate vs sampled CI (%)");
     spec_table.setHeader({"workload", "metric", "exhaustive",
                           "sampled", "units", "status"});
     for (const Point &pt : spec)
@@ -389,23 +293,6 @@ main(int argc, char **argv)
                  c.pass ? "ok" : "FAIL"});
     spec_table.print(std::cout);
 
-    TextTable splash_table("SPLASH leg: exhaustive mean latency vs "
-                           "sampled CI (cycles)");
-    splash_table.setHeader({"kernel", "exhaustive", "sampled",
-                            "units", "checksum", "status"});
-    for (const Point &pt : splash) {
-        const Check &c = pt.checks.front();
-        splash_table.addRow(
-            {pt.name, TextTable::num(c.full, 3),
-             TextTable::num(c.mean, 3) + "±" +
-                 TextTable::num(c.half, 3),
-             std::to_string(c.units),
-             pt.checksum_match ? "match" : "MISMATCH",
-             c.pass ? "ok" : "FAIL"});
-    }
-    std::cout << '\n';
-    splash_table.print(std::cout);
-
     double spec_full = 0.0, spec_sampled = 0.0;
     double sys_full = 0.0, sys_sampled = 0.0;
     for (const Point &pt : spec) {
@@ -414,25 +301,12 @@ main(int argc, char **argv)
         sys_full += pt.sys_full_s;
         sys_sampled += pt.sys_sampled_s;
     }
-    double splash_full = 0.0, splash_sampled = 0.0;
-    for (const Point &pt : splash) {
-        splash_full += pt.full_s;
-        splash_sampled += pt.sampled_s;
-    }
-    const double total_full = spec_full + splash_full;
-    const double total_sampled = spec_sampled + splash_sampled;
     const double speedup =
-        total_sampled > 0.0 ? total_full / total_sampled : 0.0;
+        spec_sampled > 0.0 ? spec_full / spec_sampled : 0.0;
 
-    std::printf("\nwall-clock (production modes): "
-                "SPEC strat %.3fs -> %.3fs (%.1fx), "
-                "SPLASH %.3fs -> %.3fs (%.1fx)\n",
-                spec_full, spec_sampled,
-                spec_sampled > 0 ? spec_full / spec_sampled : 0.0,
-                splash_full, splash_sampled,
-                splash_sampled > 0 ? splash_full / splash_sampled
-                                   : 0.0);
-    std::printf("wall-clock (systematic SPEC, ungated): "
+    std::printf("\nwall-clock (stratified, gated): %.3fs -> %.3fs\n",
+                spec_full, spec_sampled);
+    std::printf("wall-clock (systematic, ungated): "
                 "%.3fs -> %.3fs (%.1fx)\n",
                 sys_full, sys_sampled,
                 sys_sampled > 0 ? sys_full / sys_sampled : 0.0);

@@ -85,12 +85,9 @@ class MpScheduler
     Tick quantum() const { return quantum_; }
 
     /**
-     * Change the skew quantum mid-run. The sampled-simulation layer
-     * inflates the quantum during fast-forward stretches (timing
-     * fidelity is not being measured there) and restores it for
-     * warming/detail units. Scheduling remains a pure function of the
-     * virtual timeline — the quantum switch itself happens at
-     * deterministic points of that timeline — so runs stay
+     * Change the skew quantum mid-run. Scheduling remains a pure
+     * function of the virtual timeline as long as the switch happens
+     * at deterministic points of that timeline, so runs stay
      * reproducible. Must be called by the running CPU (or before
      * run()).
      */

@@ -24,28 +24,6 @@
 
 namespace memwall {
 
-/**
- * Per-access interposer for sampled simulation. When attached to an
- * MpRuntime it replaces the default "run the protocol, charge the
- * latency" step of every SharedArray access and decides — per the
- * active sampling plan — whether the access runs the full machine
- * model, warms it without statistics, or is fast-forwarded past it.
- * The implementation lives in src/sampling/ (SplashSampler); the
- * interface lives here so mw_mp does not depend on mw_sampling.
- */
-class AccessSampler
-{
-  public:
-    virtual ~AccessSampler() = default;
-
-    /**
-     * Handle one simulated access by the CPU behind @p ctx. The
-     * implementation must charge virtual time via ctx.advance().
-     */
-    virtual void access(NumaMachine &machine, SimContext &ctx,
-                        Addr addr, bool store) = 0;
-};
-
 /** Scheduler + machine + allocator bundle. */
 class MpRuntime
 {
@@ -73,29 +51,13 @@ class MpRuntime
     void
     access(SimContext &ctx, Addr addr, bool store)
     {
-        if (sampler_) {
-            sampler_->access(machine_, ctx, addr, store);
-            return;
-        }
         ctx.advance(
             machine_.access(ctx.cpuId(), addr, store, ctx.now()));
     }
 
-    /**
-     * Attach (or with nullptr detach) a sampled-simulation
-     * interposer. At most one; it must outlive the runtime or be
-     * detached first. With none attached (the default) the access
-     * path is exactly the unsampled one.
-     */
-    void attachSampler(AccessSampler *sampler) { sampler_ = sampler; }
-
-    /** The attached sampler (null when sampling is off). */
-    AccessSampler *sampler() const { return sampler_; }
-
   private:
     MpScheduler sched_;
     NumaMachine machine_;
-    AccessSampler *sampler_ = nullptr;
     Addr next_addr_ = 0x10000000;
 };
 

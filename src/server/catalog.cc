@@ -151,8 +151,6 @@ splashPlan(const RunRequest &run)
     const SplashFigure fig = splashFigureOf(run.experiment);
     const double scale = resolveSplashScale(fig, run.quick);
     const std::uint64_t nodes = run.nodes;
-    const bool sampled = run.has_sample;
-    const SamplingPlan plan = run.sample;
 
     CatalogPlan out;
     for (const std::string &arch : splashArchs()) {
@@ -162,35 +160,24 @@ splashPlan(const RunRequest &run)
             // seed, so the unit is (kernel, arch, cpus, scale) — a
             // fig13 full-axis sweep and a fig13 --nodes=4 run share
             // their common point.
-            if (sampled)
-                p.unit_key = keyf(
-                    "splash-sampled|%s|%s|cpus=%u|scale=%.9g"
-                    "|plan=%016" PRIx64,
-                    splashFigureKernel(fig), arch.c_str(), ncpus,
-                    scale, samplingPlanHash(plan));
-            else
-                p.unit_key =
-                    keyf("splash|%s|%s|cpus=%u|scale=%.9g",
-                         splashFigureKernel(fig), arch.c_str(),
-                         ncpus, scale);
+            p.unit_key = keyf("splash|%s|%s|cpus=%u|scale=%.9g",
+                              splashFigureKernel(fig), arch.c_str(),
+                              ncpus, scale);
             p.label = std::string(splashFigureKernel(fig)) +
                       " arch=" + arch +
                       " cpus=" + std::to_string(ncpus);
-            p.compute = [fig, arch, ncpus, scale, sampled, plan] {
+            p.compute = [fig, arch, ncpus, scale] {
                 return std::make_shared<SplashResult>(
                     runSplashFigurePoint(fig, arch, ncpus, scale,
-                                         sampled ? &plan : nullptr));
+                                         nullptr));
             };
             out.points.push_back(std::move(p));
         }
     }
-    out.render = [fig, scale, nodes, sampled](
+    out.render = [fig, scale, nodes](
                      const std::vector<std::shared_ptr<void>> &r) {
-        const std::vector<SplashResult> points =
-            gatherResults<SplashResult>(r);
-        return sampled
-            ? splashFigureSampledJson(fig, scale, nodes, points)
-            : splashFigureJson(fig, scale, nodes, points);
+        return splashFigureJson(fig, scale, nodes,
+                                gatherResults<SplashResult>(r));
     };
     return out;
 }

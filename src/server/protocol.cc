@@ -102,12 +102,6 @@ experimentIsMissRate(Experiment exp)
     return exp == Experiment::Fig7 || exp == Experiment::Fig8;
 }
 
-bool
-experimentAcceptsSample(Experiment exp)
-{
-    return experimentIsMissRate(exp) || experimentIsSplash(exp);
-}
-
 SplashFigure
 splashFigureOf(Experiment exp)
 {
@@ -171,10 +165,10 @@ validateRun(const RunRequest &run, ErrorCode &code,
             std::string &detail)
 {
     const std::string name = experimentName(run.experiment);
-    if (run.has_sample && !experimentAcceptsSample(run.experiment)) {
+    if (run.has_sample && !experimentIsMissRate(run.experiment)) {
         code = ErrorCode::BadParam;
         detail = "\"sample\" does not apply to experiment \"" + name +
-                 "\" (tables are deterministic full runs)";
+                 "\" (only fig7 and fig8 take a sampling plan)";
         return false;
     }
     if (run.nodes != 0 && !experimentIsSplash(run.experiment)) {

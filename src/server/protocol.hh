@@ -13,7 +13,7 @@
  *       "quick": true|false,                             (default false)
  *       "refs": <uint>,                    (default 0 = auto; not splash)
  *       "seed": <uint>,                                  (default 42)
- *       "sample": "U=..,W=..,k=..[,..]",   (fig7/fig8/splash only)
+ *       "sample": "U=..,W=..,k=..[,..]",   (fig7/fig8 only)
  *       "nodes": <uint 1..16>,             (splash only; 0 = full axis)
  *       "deadline_ms": <uint>,             (default 0 = none; capped)
  *       "fault": {"fail_points": <uint>, "hang_ms": <uint>}
@@ -22,7 +22,8 @@
  * Unknown top-level or fault fields are rejected by name — a typo'd
  * "qick" must not silently run the full-size experiment — and fields
  * that do not apply to the requested experiment (refs on a SPLASH
- * figure, sample on a table) are rejected rather than ignored.
+ * figure, sample on anything but fig7/fig8) are rejected rather
+ * than ignored.
  * "fault" is only honoured when the server runs with
  * --allow-test-faults; it exists for the torture harness and makes a
  * request non-cacheable.
@@ -104,9 +105,6 @@ bool experimentIsSplash(Experiment exp);
 /** True for the miss-rate figures (fig7/fig8). */
 bool experimentIsMissRate(Experiment exp);
 
-/** True when "sample" applies to @p exp (miss-rate + SPLASH). */
-bool experimentAcceptsSample(Experiment exp);
-
 /** The SPLASH figure behind a catalogued SPLASH experiment. */
 SplashFigure splashFigureOf(Experiment exp);
 
@@ -155,7 +153,8 @@ bool parseRequest(const std::string &payload, Request &out,
 
 /** parseRequest()'s per-experiment rules, which the benches also
  *  apply to their flags: a field the experiment would silently
- *  ignore (refs on SPLASH, sample on a table) is a bad_param. */
+ *  ignore (refs on SPLASH, sample beyond fig7/fig8) is a
+ *  bad_param. */
 bool validateRun(const RunRequest &run, ErrorCode &code,
                  std::string &detail);
 

@@ -48,7 +48,6 @@ runLu(const SplashParams &params)
     };
 
     MpRuntime rt(p, params.machine);
-    SamplerScope sampling(rt, params);
     SharedArray<double> a(rt, static_cast<std::size_t>(n) * n, "A");
 
     // Deterministic diagonally dominant matrix.
@@ -90,7 +89,7 @@ runLu(const SplashParams &params)
     double sum = 0.0;
     for (unsigned i = 0; i < n; ++i)
         sum += std::fabs(a.raw(idx(n, i, i)));
-    return collectResult(rt, sum, sampling);
+    return collectResult(rt, sum);
 }
 
 } // namespace memwall

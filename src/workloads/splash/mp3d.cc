@@ -29,7 +29,6 @@ runMp3d(const SplashParams &params)
     const unsigned p = params.nprocs;
 
     MpRuntime rt(p, params.machine);
-    SamplerScope sampling(rt, params);
     // Particle state: x, y, z, vx, vy, vz per particle.
     SharedArray<float> part(rt, particles * 6ull, "particles");
     // Space array: population count and accumulated energy per cell.
@@ -101,7 +100,7 @@ runMp3d(const SplashParams &params)
     for (unsigned i = 0; i < particles; ++i)
         for (unsigned d = 0; d < 3; ++d)
             sum += part.raw(i * 6 + d);
-    return collectResult(rt, sum, sampling);
+    return collectResult(rt, sum);
 }
 
 } // namespace memwall

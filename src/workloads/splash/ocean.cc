@@ -26,7 +26,6 @@ runOcean(const SplashParams &params)
     const unsigned p = params.nprocs;
 
     MpRuntime rt(p, params.machine);
-    SamplerScope sampling(rt, params);
     SharedArray<double> grid(rt, static_cast<std::size_t>(n) * n,
                              "grid");
     // Per-processor partial residuals (padded to a coherence unit
@@ -94,7 +93,7 @@ runOcean(const SplashParams &params)
         }
     });
 
-    return collectResult(rt, final_residual, sampling);
+    return collectResult(rt, final_residual);
 }
 
 } // namespace memwall

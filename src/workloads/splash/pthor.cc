@@ -36,7 +36,6 @@ runPthor(const SplashParams &params)
     const unsigned p = params.nprocs;
 
     MpRuntime rt(p, params.machine);
-    SamplerScope sampling(rt, params);
     // Netlist: per gate a 32-byte element record (output value plus
     // timestamps/event bookkeeping, as in the real PTHOR element
     // structures); the output value is the shared state the
@@ -148,7 +147,7 @@ runPthor(const SplashParams &params)
         toggle_lock.release(ctx);
     });
 
-    return collectResult(rt, static_cast<double>(toggles), sampling);
+    return collectResult(rt, static_cast<double>(toggles));
 }
 
 } // namespace memwall

@@ -23,7 +23,6 @@
 #include <string>
 
 #include "coherence/numa.hh"
-#include "sampling/plan.hh"
 
 namespace memwall {
 
@@ -39,24 +38,6 @@ struct SplashResult
     /** Numerical checksum for cross-architecture validation. */
     double checksum = 0.0;
 
-    // Sampled-run extras (SplashParams::sampling attached). The
-    // kernel still executes every instruction and every access runs
-    // the full machine model (continuous functional warming), so
-    // checksum, accesses and coherence counters are exact; only the
-    // timing is approximate — fast-forwarded stretches charge
-    // batched latencies under an inflated scheduling quantum.
-    /** True when the run was sampled. */
-    bool sampled = false;
-    /** Detail units completed. */
-    std::uint64_t sample_units = 0;
-    /** Mean data-access latency over the detail units (cycles) —
-     * the sampled metric of record. */
-    double sampled_latency = 0.0;
-    /** Confidence half-width of sampled_latency at the plan level. */
-    double sampled_latency_half = 0.0;
-    /** Accesses simulated in full detail / skipped entirely. */
-    std::uint64_t detail_accesses = 0;
-    std::uint64_t ff_accesses = 0;
 };
 
 /** Common run parameters. */
@@ -68,12 +49,6 @@ struct SplashParams
     NumaConfig machine = {};
     /** Problem scale factor: 1.0 = the paper's data set. */
     double scale = 1.0;
-    /**
-     * Optional sampled-simulation plan (systematic scheme, in units
-     * of data accesses). Null = exhaustive run, bit-for-bit the
-     * pre-sampling behaviour.
-     */
-    const SamplingPlan *sampling = nullptr;
 };
 
 /** LU decomposition of an n x n matrix (paper: n = 200). */

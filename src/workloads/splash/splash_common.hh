@@ -8,62 +8,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "common/logging.hh"
 #include "mp/shared.hh"
-#include "sampling/splash_sampler.hh"
 #include "workloads/splash/splash.hh"
 
 namespace memwall {
-
-/**
- * Attaches a SplashSampler to the runtime for the duration of a
- * kernel run when the params carry a sampling plan; a no-op
- * otherwise. Construct after the runtime, before rt.run().
- */
-class SamplerScope
-{
-  public:
-    SamplerScope(MpRuntime &rt, const SplashParams &params) : rt_(&rt)
-    {
-        if (!params.sampling)
-            return;
-        sampler_ = std::make_unique<SplashSampler>(
-            *params.sampling, rt.ncpus(), rt.scheduler().quantum());
-        rt.attachSampler(sampler_.get());
-    }
-
-    ~SamplerScope()
-    {
-        if (sampler_)
-            rt_->attachSampler(nullptr);
-    }
-
-    SamplerScope(const SamplerScope &) = delete;
-    SamplerScope &operator=(const SamplerScope &) = delete;
-
-    /** Copy the sampled metrics into @p res (no-op when unsampled). */
-    void
-    fill(SplashResult &res) const
-    {
-        if (!sampler_)
-            return;
-        res.sampled = true;
-        res.sample_units = sampler_->unitLatency().count();
-        res.sampled_latency = sampler_->unitLatency().mean();
-        res.sampled_latency_half = sampler_->latencyCi().half_width;
-        res.detail_accesses = sampler_->detailAccesses();
-        res.ff_accesses = sampler_->ffAccesses();
-    }
-
-    /** The attached sampler; null when the run is unsampled. */
-    const SplashSampler *sampler() const { return sampler_.get(); }
-
-  private:
-    MpRuntime *rt_;
-    std::unique_ptr<SplashSampler> sampler_;
-};
 
 /** Collect makespan and machine counters after a run. */
 inline SplashResult
@@ -77,16 +27,6 @@ collectResult(MpRuntime &rt, double checksum)
     res.remote_loads = rt.machine().totalRemoteLoads();
     res.invalidations = rt.machine().totalInvalidations();
     res.checksum = checksum;
-    return res;
-}
-
-/** collectResult() plus the sampled metrics from @p scope. */
-inline SplashResult
-collectResult(MpRuntime &rt, double checksum,
-              const SamplerScope &scope)
-{
-    SplashResult res = collectResult(rt, checksum);
-    scope.fill(res);
     return res;
 }
 

@@ -43,7 +43,6 @@ runWater(const SplashParams &params)
     const double cutoff2 = 6.0;  // squared interaction cutoff
 
     MpRuntime rt(p, params.machine);
-    SamplerScope sampling(rt, params);
     SharedArray<double> mol(rt,
                             static_cast<std::size_t>(molecules) *
                                 mol_doubles,
@@ -160,7 +159,7 @@ runWater(const SplashParams &params)
             sum += mol.raw(static_cast<std::size_t>(i) *
                                mol_doubles +
                            off_vel + d);
-    return collectResult(rt, sum, sampling);
+    return collectResult(rt, sum);
 }
 
 } // namespace memwall

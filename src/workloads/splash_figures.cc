@@ -115,11 +115,13 @@ runSplashFigurePoint(SplashFigure fig, const std::string &arch,
                      unsigned ncpus, double scale,
                      const SamplingPlan *plan)
 {
+    if (plan)
+        MW_FATAL(splashFigureName(fig), ": SPLASH runs take no "
+                 "sampling plan, got ", plan->describe());
     SplashParams params;
     params.nprocs = ncpus;
     params.machine = splashMachineFor(arch, ncpus);
     params.scale = scale;
-    params.sampling = plan;
     return runSplash(splashFigureKernel(fig), params);
 }
 
@@ -137,18 +139,19 @@ runSplashFigure(SplashFigure fig, double scale, std::uint64_t nodes,
 
 namespace {
 
-/** Common document head: bench tag, sampled flag, scale, nodes. */
+/** Common document head: bench tag, scale, nodes. SPLASH runs are
+ *  never sampled; the constant "sampled" field keeps the document
+ *  schema of the miss-rate figures. */
 std::string
-figureHead(SplashFigure fig, bool sampled, double scale,
-           std::uint64_t nodes)
+figureHead(SplashFigure fig, double scale, std::uint64_t nodes)
 {
     std::string out;
     appendf(out,
-            "{\n  \"bench\": \"%s\", \"sampled\": %s, "
+            "{\n  \"bench\": \"%s\", \"sampled\": false, "
             "\"scale\": %s, \"nodes\": %" PRIu64 ",\n"
             "  \"points\": [\n",
-            splashFigureName(fig), sampled ? "true" : "false",
-            jsontext::num(scale).c_str(), nodes);
+            splashFigureName(fig), jsontext::num(scale).c_str(),
+            nodes);
     return out;
 }
 
@@ -171,7 +174,7 @@ splashFigureJson(SplashFigure fig, double scale, std::uint64_t nodes,
     MW_ASSERT(points.size() ==
                   splashArchs().size() * splashCpuCounts(nodes).size(),
               "SPLASH renderer given a partial sweep");
-    std::string out = figureHead(fig, false, scale, nodes);
+    std::string out = figureHead(fig, scale, nodes);
     const double base = static_cast<double>(points[0].makespan);
     for (std::size_t i = 0; i < points.size(); ++i) {
         const SplashResult &res = points[i];
@@ -187,37 +190,6 @@ splashFigureJson(SplashFigure fig, double scale, std::uint64_t nodes,
                 jsontext::num(static_cast<double>(res.makespan) /
                               base)
                     .c_str(),
-                jsontext::num(res.checksum).c_str(),
-                i + 1 < points.size() ? "," : "");
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
-std::string
-splashFigureSampledJson(SplashFigure fig, double scale,
-                        std::uint64_t nodes,
-                        const std::vector<SplashResult> &points)
-{
-    MW_ASSERT(points.size() ==
-                  splashArchs().size() * splashCpuCounts(nodes).size(),
-              "SPLASH renderer given a partial sweep");
-    std::string out = figureHead(fig, true, scale, nodes);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const SplashResult &res = points[i];
-        std::string arch;
-        unsigned ncpus = 0;
-        pointLabels(nodes, i, arch, ncpus);
-        appendf(out,
-                "    {\"arch\": \"%s\", \"cpus\": %u, "
-                "\"latency_mean\": %s, \"latency_half\": %s, "
-                "\"units\": %" PRIu64 ", \"detail_accesses\": %" PRIu64
-                ", \"ff_accesses\": %" PRIu64 ", \"checksum\": %s}%s\n",
-                arch.c_str(), ncpus,
-                jsontext::num(res.sampled_latency).c_str(),
-                jsontext::num(res.sampled_latency_half).c_str(),
-                res.sample_units, res.detail_accesses,
-                res.ff_accesses,
                 jsontext::num(res.checksum).c_str(),
                 i + 1 < points.size() ? "," : "");
     }

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "sampling/plan.hh"
 #include "workloads/splash/splash.hh"
 
 namespace memwall {
@@ -69,9 +70,10 @@ constexpr unsigned splash_max_nodes = 16;
 std::vector<unsigned> splashCpuCounts(std::uint64_t nodes);
 
 /**
- * Execute one (arch, ncpus) point of @p fig at problem @p scale;
- * @p plan attaches a sampled-simulation schedule (null = exhaustive).
+ * Execute one (arch, ncpus) point of @p fig at problem @p scale.
  * Deterministic: the kernels seed from the problem, not the caller.
+ * SPLASH runs are always exhaustive: @p plan must be null, and a
+ * sampling plan is a fatal error.
  */
 SplashResult runSplashFigurePoint(SplashFigure fig,
                                   const std::string &arch,
@@ -80,8 +82,8 @@ SplashResult runSplashFigurePoint(SplashFigure fig,
 
 /**
  * Run the full sweep serially, arch-major in splashArchs() order
- * then ascending processor count — the order every renderer below
- * expects.
+ * then ascending processor count — the order the renderer below
+ * expects. @p plan must be null, as for runSplashFigurePoint().
  */
 std::vector<SplashResult> runSplashFigure(SplashFigure fig,
                                           double scale,
@@ -89,7 +91,7 @@ std::vector<SplashResult> runSplashFigure(SplashFigure fig,
                                           const SamplingPlan *plan);
 
 /**
- * Render exhaustive results as the figure's --format=json document
+ * Render the results as the figure's --format=json document
  * (trailing newline included). relative_time is normalised to the
  * first point (reference architecture, lowest processor count),
  * matching the text chart's normalisation.
@@ -97,16 +99,6 @@ std::vector<SplashResult> runSplashFigure(SplashFigure fig,
 std::string splashFigureJson(SplashFigure fig, double scale,
                              std::uint64_t nodes,
                              const std::vector<SplashResult> &points);
-
-/**
- * Render sampled results: mean data-access latency with its
- * confidence half-width per point. Non-finite moments (a one-unit
- * sample has no variance) render as `null`, never bare nan/inf.
- */
-std::string
-splashFigureSampledJson(SplashFigure fig, double scale,
-                        std::uint64_t nodes,
-                        const std::vector<SplashResult> &points);
 
 } // namespace memwall
 

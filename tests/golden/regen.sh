@@ -1,7 +1,7 @@
 #!/bin/sh
 # Committed quick-mode goldens under tests/golden/: text and
 # --format json of the ten catalog benches (Figs 7/8, Tables 1/3/4,
-# Figs 13-17) plus three sampled JSON plans in catalog/, the JSON of
+# Figs 13-17) plus two sampled JSON plans in catalog/, the JSON of
 # the sampled-simulation crosscheck and the fault campaign, and the
 # text of the four CC-NUMA ablations (Simple-COMA, fabric contention,
 # INC capacity and INC associativity).
@@ -27,11 +27,9 @@ manifest() {
         echo "catalog/$b.txt $b --quick"
         echo "catalog/$b.json $b --quick --format json"
     done
-    # The sampled plans CI and EXPERIMENTS.md use.
+    # The systematic plan CI and EXPERIMENTS.md use.
     echo "catalog/fig7_icache_miss.sampled.json fig7_icache_miss" \
          "--quick --sample U=500,W=1000,k=20 --format json"
-    echo "catalog/fig13_lu.sampled.json fig13_lu --quick" \
-         "--sample U=500,W=1000,k=50 --format json"
     # The stratified plan server-catalog serves.
     echo "catalog/fig8_dcache_miss.strat.json fig8_dcache_miss" \
          "--quick --sample mode=strat,n=6,U=500,W=1000 --format json"

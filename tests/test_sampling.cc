@@ -2,8 +2,7 @@
  * @file
  * Tests for the sampled-simulation subsystem: Student-t critical
  * values, confidence intervals, plan parsing/validation, the
- * systematic phase cursor, the sampled miss-rate harness, and the
- * sampled SPLASH runs.
+ * systematic phase cursor and the sampled miss-rate harness.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "sampling/plan.hh"
 #include "workloads/missrate.hh"
 #include "workloads/spec_suite.hh"
-#include "workloads/splash/splash.hh"
 
 using namespace memwall;
 
@@ -334,70 +332,4 @@ TEST(SampledMissRates, AdaptiveStopsWithinBounds)
         measureMissRatesSampled(w, quickParams(), plan);
     EXPECT_GE(r.units, 6u);
     EXPECT_LE(r.units, 64u);
-}
-
-// --- Sampled SPLASH runs -------------------------------------------
-
-namespace {
-
-SplashParams
-splashParams(const SamplingPlan *plan)
-{
-    SplashParams p;
-    p.nprocs = 2;
-    p.machine.nodes = 2;
-    p.machine.arch = NodeArch::Integrated;
-    p.machine.victim_cache = true;
-    p.scale = 0.02;
-    p.sampling = plan;
-    return p;
-}
-
-} // namespace
-
-TEST(SampledSplash, ExecutionIsExactUnderSampling)
-{
-    SamplingPlan plan = parseSamplingPlan("U=200,W=400,k=10");
-    const SplashResult full = runLu(splashParams(nullptr));
-    const SplashResult sampled = runLu(splashParams(&plan));
-
-    // Continuous functional warming: sampling changes the timing
-    // estimate, never the computation.
-    EXPECT_TRUE(sampled.sampled);
-    EXPECT_FALSE(full.sampled);
-    EXPECT_DOUBLE_EQ(sampled.checksum, full.checksum);
-    EXPECT_EQ(sampled.accesses, full.accesses);
-    EXPECT_GT(sampled.sample_units, 0u);
-    EXPECT_GT(sampled.sampled_latency, 0.0);
-    EXPECT_GT(sampled.makespan, 0u);
-}
-
-TEST(SampledSplash, DeterministicAcrossRuns)
-{
-    SamplingPlan plan = parseSamplingPlan("U=200,W=400,k=10");
-    const SplashResult a = runMp3d(splashParams(&plan));
-    const SplashResult b = runMp3d(splashParams(&plan));
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.sample_units, b.sample_units);
-    EXPECT_DOUBLE_EQ(a.sampled_latency, b.sampled_latency);
-    EXPECT_DOUBLE_EQ(a.sampled_latency_half, b.sampled_latency_half);
-    EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
-}
-
-TEST(SampledSplash, AllDetailPlanMatchesExhaustiveLatency)
-{
-    // k=1, W=0: every access is a detail access; the sampled mean
-    // latency must equal the exhaustive run's mean access latency and
-    // the makespan must be exact.
-    SamplingPlan plan;
-    plan.unit_refs = 500;
-    plan.warmup_refs = 0;
-    plan.period_units = 1;
-    plan.validate();
-    const SplashResult full = runWater(splashParams(nullptr));
-    const SplashResult sampled = runWater(splashParams(&plan));
-    EXPECT_EQ(sampled.ff_accesses, 0u);
-    EXPECT_EQ(sampled.detail_accesses, sampled.accesses);
-    EXPECT_EQ(sampled.makespan, full.makespan);
-    EXPECT_DOUBLE_EQ(sampled.checksum, full.checksum);
 }

@@ -409,13 +409,17 @@ TEST(ServerProtocol, RejectsInapplicableCatalogFields)
     ErrorCode code;
     std::string detail;
 
-    // Sampling plans only apply to the miss-rate and SPLASH
-    // experiments; the tables are deterministic full runs.
-    EXPECT_FALSE(parseRequest(
-        R"({"experiment":"table1","sample":"U=500,W=1000,k=4"})",
-        req, code, detail));
-    EXPECT_EQ(code, ErrorCode::BadParam);
-    EXPECT_NE(detail.find("sample"), std::string::npos) << detail;
+    // Sampling plans only apply to the miss-rate figures; the
+    // tables and the SPLASH figures are exhaustive runs.
+    for (const char *exp : {"table1", "fig13", "fig17"}) {
+        EXPECT_FALSE(parseRequest(
+            std::string(R"({"experiment":")") + exp +
+                R"(","sample":"U=500,W=1000,k=4"})",
+            req, code, detail))
+            << exp;
+        EXPECT_EQ(code, ErrorCode::BadParam) << exp;
+        EXPECT_NE(detail.find("sample"), std::string::npos) << detail;
+    }
 
     // "nodes" restricts a SPLASH sweep; the others have no axis.
     EXPECT_FALSE(parseRequest(

@@ -13,8 +13,8 @@
  *
  * NAME is a catalog entry: fig7, fig8, table1, table3, table4, or a
  * SPLASH figure fig13..fig17. --sample forwards a sampling plan (the
- * bench --sample syntax) for the experiments that accept one;
- * --nodes restricts a SPLASH sweep to one processor count.
+ * bench --sample syntax) for fig7 and fig8; --nodes restricts a
+ * SPLASH sweep to one processor count.
  *
  * --timeout-ms bounds the WHOLE transaction per syscall: the
  * connect itself (a wedged server whose accept backlog is full hangs
@@ -56,7 +56,8 @@ usage(const char *why)
         stderr,
         "usage: mw-client --socket PATH run --experiment NAME\n"
         "                 [--quick] [--refs N] [--seed N]\n"
-        "                 [--sample PLAN] [--nodes N]\n"
+        "                 [--sample PLAN (fig7/fig8)]\n"
+        "                 [--nodes N (fig13..fig17)]\n"
         "                 [--deadline-ms N] [--timeout-ms N]\n"
         "                 [--id STR] [--raw-result]\n"
         "       mw-client --socket PATH stats|ping|shutdown\n"
