@@ -139,35 +139,40 @@ class LruInclusionChain
     void
     walk(Addr addr, bool store)
     {
+        // Locals, not members: the way stores below are 64-bit, like
+        // the members, and would otherwise force reloads of them.
         const Addr line = addr >> line_shift_;
+        Level *const levels = levels_.data();
+        AccessStats *const stats = stats_.data();
         const std::size_t n = levels_.size();
+        const std::uint32_t assoc = assoc_;
         std::size_t k = 0;
         for (; k < n; ++k) {
-            Level &level = levels_[k];
-            Addr *set = level.ways.data() +
-                        (line & level.set_mask) * assoc_;
-            std::uint32_t way = 0;
-            while (way < assoc_ && set[way] != line)
-                ++way;
-            if (way == 0)
+            Addr *set = levels[k].ways.data() +
+                        (line & levels[k].set_mask) * assoc;
+            if (set[0] == line)
                 break; // most recent here, so at every larger level
+            std::uint32_t way = 1;
+            while (way < assoc && set[way] != line)
+                ++way;
             if constexpr (Count) {
-                AccessStats &s = stats_[k];
-                if (way == assoc_)
-                    (store ? s.store_misses : s.load_misses).inc();
+                if (way == assoc)
+                    (store ? stats[k].store_misses
+                           : stats[k].load_misses)
+                        .inc();
                 else
-                    (store ? s.store_hits : s.load_hits).inc();
+                    (store ? stats[k].store_hits : stats[k].load_hits)
+                        .inc();
             }
             // Make the line most recent; on a miss the least recent
             // way (an empty one if the set has any) falls off the end.
-            for (way = way == assoc_ ? assoc_ - 1 : way; way > 0; --way)
+            for (way = way == assoc ? assoc - 1 : way; way > 0; --way)
                 set[way] = set[way - 1];
             set[0] = line;
         }
         if constexpr (Count)
             for (; k < n; ++k)
-                (store ? stats_[k].store_hits : stats_[k].load_hits)
-                    .inc();
+                (store ? stats[k].store_hits : stats[k].load_hits).inc();
     }
 
     std::vector<CacheConfig> configs_;

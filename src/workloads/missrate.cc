@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "harness/parallel_sweep.hh"
+#include "mem/lru_chain.hh"
 
 namespace memwall {
 
@@ -60,47 +61,37 @@ struct ComparisonCaches
     ColumnDataCache dcache_plain{withoutVictim(pim_cfg)};
     ColumnDataCache dcache_vc{pim_cfg};
 
-    // Conventional comparison set (32-byte lines).
-    std::vector<std::pair<std::string, Cache>> conv_i;
-    std::vector<std::pair<std::string, Cache>> conv_d;
-
-    ComparisonCaches()
-    {
-        using namespace cachelabels;
-        conv_i.emplace_back(conv8, Cache(conv(8 * KiB, 1, conv8)));
-        conv_i.emplace_back(conv16, Cache(conv(16 * KiB, 1, conv16)));
-        conv_i.emplace_back(conv32, Cache(conv(32 * KiB, 1, conv32)));
-        conv_i.emplace_back(conv64, Cache(conv(64 * KiB, 1, conv64)));
-        conv_d.emplace_back(conv16, Cache(conv(16 * KiB, 1, conv16)));
-        conv_d.emplace_back(conv16w2,
-                            Cache(conv(16 * KiB, 2, conv16w2)));
-        conv_d.emplace_back(conv64, Cache(conv(64 * KiB, 1, conv64)));
-        conv_d.emplace_back(conv256w2,
-                            Cache(conv(256 * KiB, 2, conv256w2)));
-    }
+    // Conventional comparison set (32-byte lines, LRU): one inclusion
+    // chain per side and associativity, each level labelled by name.
+    LruInclusionChain conv_i{{conv(8 * KiB, 1, cachelabels::conv8),
+                              conv(16 * KiB, 1, cachelabels::conv16),
+                              conv(32 * KiB, 1, cachelabels::conv32),
+                              conv(64 * KiB, 1, cachelabels::conv64)}};
+    LruInclusionChain conv_d_dm{
+        {conv(16 * KiB, 1, cachelabels::conv16),
+         conv(64 * KiB, 1, cachelabels::conv64)}};
+    LruInclusionChain conv_d_2w{
+        {conv(16 * KiB, 2, cachelabels::conv16w2),
+         conv(256 * KiB, 2, cachelabels::conv256w2)}};
 
     /** Full-detail fan-out: every cache models the reference and
      * counts it. One statically typed sink per replay loop:
      * generateInto() inlines the generator's emission loop and this
-     * body together (no per-ref std::function dispatch), and the
-     * interleaved replay keeps all the small tag arrays hot. A
-     * buffered per-cache replay variant measured consistently slower
-     * here (the dense ref buffers evict exactly the tag lines the
-     * replay loops need), so the straight fan-out is the fast path as
-     * well as the simple one. */
+     * body together (no per-ref std::function dispatch). The
+     * conventional caches cost one chain walk per reference and
+     * side, and only the 2-way chain walks past a hit. */
     void
     detail(const MemRef &ref)
     {
         if (ref.type == RefType::IFetch) {
             icache_pim.fetch(ref.pc);
-            for (auto &[label, cache] : conv_i)
-                cache.access(ref.pc, false);
+            conv_i.access(ref.pc, false);
         } else {
             const bool store = ref.type == RefType::Store;
             dcache_plain.access(ref.addr, store);
             dcache_vc.access(ref.addr, store);
-            for (auto &[label, cache] : conv_d)
-                cache.access(ref.addr, store);
+            conv_d_dm.access(ref.addr, store);
+            conv_d_2w.access(ref.addr, store);
         }
     }
 
@@ -110,14 +101,13 @@ struct ComparisonCaches
     {
         if (ref.type == RefType::IFetch) {
             icache_pim.warmFetch(ref.pc);
-            for (auto &[label, cache] : conv_i)
-                cache.warmAccess(ref.pc, false);
+            conv_i.warmAccess(ref.pc, false);
         } else {
             const bool store = ref.type == RefType::Store;
             dcache_plain.warmAccess(ref.addr, store);
             dcache_vc.warmAccess(ref.addr, store);
-            for (auto &[label, cache] : conv_d)
-                cache.warmAccess(ref.addr, store);
+            conv_d_dm.warmAccess(ref.addr, store);
+            conv_d_2w.warmAccess(ref.addr, store);
         }
     }
 
@@ -127,10 +117,9 @@ struct ComparisonCaches
         icache_pim.resetStats();
         dcache_plain.resetStats();
         dcache_vc.resetStats();
-        for (auto &[label, cache] : conv_i)
-            cache.resetStats();
-        for (auto &[label, cache] : conv_d)
-            cache.resetStats();
+        conv_i.resetStats();
+        conv_d_dm.resetStats();
+        conv_d_2w.resetStats();
     }
 
     /** Label -> live stats views, in the result ordering. */
@@ -139,8 +128,8 @@ struct ComparisonCaches
     {
         std::vector<std::pair<std::string, const AccessStats *>> v;
         v.emplace_back(cachelabels::proposed, &icache_pim.stats());
-        for (const auto &[label, cache] : conv_i)
-            v.emplace_back(label, &cache.stats());
+        for (std::size_t k = 0; k < conv_i.levels(); ++k)
+            v.emplace_back(conv_i.config(k).name, &conv_i.stats(k));
         return v;
     }
 
@@ -150,8 +139,11 @@ struct ComparisonCaches
         std::vector<std::pair<std::string, const AccessStats *>> v;
         v.emplace_back(cachelabels::proposed, &dcache_plain.stats());
         v.emplace_back(cachelabels::proposed_vc, &dcache_vc.stats());
-        for (const auto &[label, cache] : conv_d)
-            v.emplace_back(label, &cache.stats());
+        // conv-16K-dm, conv-16K-2w, conv-64K-dm, conv-256K-2w.
+        for (std::size_t k = 0; k < 2; ++k)
+            for (const LruInclusionChain *chain : {&conv_d_dm, &conv_d_2w})
+                v.emplace_back(chain->config(k).name,
+                               &chain->stats(k));
         return v;
     }
 };
@@ -249,8 +241,6 @@ WorkloadMissRates
 measureMissRates(const SpecWorkload &workload,
                  const MissRateParams &params)
 {
-    using namespace cachelabels;
-
     ComparisonCaches caches;
     SyntheticWorkload source(workload.proxy);
     if (params.stationary_start)
@@ -268,16 +258,10 @@ measureMissRates(const SpecWorkload &workload,
 
     WorkloadMissRates out;
     out.workload = workload.name;
-    out.icaches.push_back(
-        CacheMissResult{proposed, caches.icache_pim.stats()});
-    for (auto &[label, cache] : caches.conv_i)
-        out.icaches.push_back(CacheMissResult{label, cache.stats()});
-    out.dcaches.push_back(
-        CacheMissResult{proposed, caches.dcache_plain.stats()});
-    out.dcaches.push_back(
-        CacheMissResult{proposed_vc, caches.dcache_vc.stats()});
-    for (auto &[label, cache] : caches.conv_d)
-        out.dcaches.push_back(CacheMissResult{label, cache.stats()});
+    for (const auto &[label, stats] : caches.icacheViews())
+        out.icaches.push_back(CacheMissResult{label, *stats});
+    for (const auto &[label, stats] : caches.dcacheViews())
+        out.dcaches.push_back(CacheMissResult{label, *stats});
     return out;
 }
 
