@@ -6,13 +6,15 @@
  *   mwasm dis  prog.s            assemble, then disassemble
  *   mwasm run  prog.s [options]  execute on the functional CPU
  *
- * run options:
+ * run options (anything else, a flag without its value or a
+ * non-numeric --max is a usage error, exit 2):
  *   --max N        instruction budget (default 10M)
  *   --trace F      capture the reference stream to F (MWTR format)
  *   --pim          also time the run on the integrated device
  *   --regs         dump registers at exit
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +27,31 @@
 using namespace memwall;
 
 namespace {
+
+[[noreturn]] void
+usageError(const std::string &why)
+{
+    std::fprintf(stderr,
+                 "mwasm: %s\n"
+                 "usage: mwasm asm|dis prog.s\n"
+                 "       mwasm run prog.s [--max N] [--trace F] [--pim] "
+                 "[--regs]\n",
+                 why.c_str());
+    std::exit(2);
+}
+
+/** A whole-string unsigned number (decimal, 0x hex or 0 octal). */
+std::uint64_t
+parseCount(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (errno != 0 || end == text || *end != '\0' || text[0] == '-')
+        usageError(std::string("invalid value '") + text + "' for " +
+                   flag);
+    return v;
+}
 
 std::string
 slurp(const char *path)
@@ -90,22 +117,30 @@ cmdRun(int argc, char **argv)
     std::uint64_t max_instr = 10'000'000;
     bool pim = false, regs = false;
     for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc)
-            max_instr = std::strtoull(argv[++i], nullptr, 0);
-        else if (std::strcmp(argv[i], "--trace") == 0 &&
-                 i + 1 < argc)
-            trace_path = argv[++i];
-        else if (std::strcmp(argv[i], "--pim") == 0)
+        const char *arg = argv[i];
+        const auto value = [&]() -> const char * {
+            if (i + 1 >= argc)
+                usageError(std::string("missing value for ") + arg);
+            return argv[++i];
+        };
+        if (std::strcmp(arg, "--max") == 0)
+            max_instr = parseCount(arg, value());
+        else if (std::strcmp(arg, "--trace") == 0)
+            trace_path = value();
+        else if (std::strcmp(arg, "--pim") == 0)
             pim = true;
-        else if (std::strcmp(argv[i], "--regs") == 0)
+        else if (std::strcmp(arg, "--regs") == 0)
             regs = true;
+        else if (arg[0] == '-')
+            usageError(std::string("unknown flag '") + arg + "'");
         else if (!path)
-            path = argv[i];
+            path = arg;
+        else
+            usageError(std::string("unexpected argument '") + arg +
+                       "'");
     }
-    if (!path) {
-        std::fprintf(stderr, "mwasm run: missing input file\n");
-        return 2;
-    }
+    if (!path)
+        usageError("run: missing input file");
 
     const AssembledProgram prog = assembleFile(path);
     BackingStore mem;
@@ -185,17 +220,18 @@ cmdRun(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: mwasm asm|dis|run prog.s [options]\n");
-        return 2;
+    if (argc < 3)
+        usageError("missing command or input file");
+    const bool is_asm = std::strcmp(argv[1], "asm") == 0;
+    if (is_asm || std::strcmp(argv[1], "dis") == 0) {
+        if (argv[2][0] == '-')
+            usageError(std::string("unknown flag '") + argv[2] + "'");
+        if (argc > 3)
+            usageError(std::string("unexpected argument '") + argv[3] +
+                       "'");
+        return is_asm ? cmdAsm(argv[2]) : cmdDis(argv[2]);
     }
-    if (std::strcmp(argv[1], "asm") == 0)
-        return cmdAsm(argv[2]);
-    if (std::strcmp(argv[1], "dis") == 0)
-        return cmdDis(argv[2]);
     if (std::strcmp(argv[1], "run") == 0)
         return cmdRun(argc - 2, argv + 2);
-    std::fprintf(stderr, "mwasm: unknown command '%s'\n", argv[1]);
-    return 2;
+    usageError(std::string("unknown command '") + argv[1] + "'");
 }
