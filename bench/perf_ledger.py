@@ -3,12 +3,11 @@
 
 Record a ledger from the bench binaries of one build directory:
 
-    bench/perf_ledger.py BUILD_DIR --out BENCH_name.json
-        [--reps 5] [--jobs 1,4] [--sizes quick,full] [--only B1,B2]
+    bench/perf_ledger.py BUILD_DIR --out BENCH_name.json [--reps 5]
 
 runs the ten catalog benches plus fig11, fig12, sec56 and
-validation_cpi_crosscheck at every (size, --jobs) combination,
-REPS times each. The repetitions are interleaved (every entry runs
+validation_cpi_crosscheck at --quick and full size, at --jobs 1 and
+--jobs 4, REPS times each, printing each run's wall time to stderr. The repetitions are interleaved (every entry runs
 once per round, in a fixed order), so a host that drifts for minutes
 at a time spreads its drift over all entries instead of biasing one.
 Each run's wall time comes from the clock around fork/wait; user and
@@ -58,6 +57,8 @@ BENCHES = [
     "validation_cpi_crosscheck",
 ]
 
+SIZES = ("quick", "full")
+JOBS = (1, 4)
 METRICS = ("wall_s", "user_s", "sys_s", "minflt")
 
 # --compare flags NEW when its median is this much above OLD's median
@@ -152,21 +153,12 @@ def host_info(build_dir, binaries):
 
 def record(args):
     bench_dir = os.path.join(args.build_dir, "bench")
-    benches = args.only.split(",") if args.only else BENCHES
-    for name in benches:
-        if name not in BENCHES:
-            sys.exit("perf_ledger: unknown bench '%s'" % name)
-    sizes = args.sizes.split(",")
-    for size in sizes:
-        if size not in ("quick", "full"):
-            sys.exit("perf_ledger: --sizes takes quick and/or full")
-    jobs = [int(j) for j in args.jobs.split(",")]
-    binaries = [os.path.join(bench_dir, b) for b in benches]
+    binaries = [os.path.join(bench_dir, b) for b in BENCHES]
     for path in binaries:
         if not os.access(path, os.X_OK):
             sys.exit("perf_ledger: no bench binary %s" % path)
 
-    plan = [(b, s, j) for b in benches for s in sizes for j in jobs]
+    plan = [(b, s, j) for b in BENCHES for s in SIZES for j in JOBS]
     samples = {p: {m: [] for m in METRICS} for p in plan}
     for rep in range(args.reps):
         for bench, size, j in plan:
@@ -175,10 +167,9 @@ def record(args):
             got = run_once(os.path.join(bench_dir, bench), flags)
             for m in METRICS:
                 samples[(bench, size, j)][m].append(got[m])
-            if args.verbose:
-                print("rep %d %s %s j%d: %.3f s" % (rep + 1, bench, size,
-                                                     j, got["wall_s"]),
-                      file=sys.stderr)
+            print("rep %d %s %s j%d: %.3f s" % (rep + 1, bench, size, j,
+                                                 got["wall_s"]),
+                  file=sys.stderr)
 
     ledger = host_info(args.build_dir, binaries)
     ledger["reps"] = args.reps
@@ -242,12 +233,6 @@ def main(argv=None):
                         help="build directory whose bench/ to run")
     parser.add_argument("--out", help="ledger file (default stdout)")
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--jobs", default="1,4",
-                        help="comma-separated --jobs values")
-    parser.add_argument("--sizes", default="quick,full")
-    parser.add_argument("--only", help="comma-separated bench subset")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print each run's wall time to stderr")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
