@@ -20,9 +20,10 @@
  * speedup (--min-speedup, default 5) of the stratified scheme, the
  * production mode, over its exhaustive reference. The systematic
  * scheme replays the entire stream by construction, so its (smaller)
- * speedup is reported but not gated. With `--format json` the output carries no wall-clock
- * times, so it is byte-identical across runs and across --jobs
- * values — CI diffs it against a committed golden file.
+ * speedup is reported but not gated. With `--format json` the output
+ * carries no wall-clock times, so it is byte-identical across runs
+ * and across --jobs values — CI diffs it against a committed golden
+ * file.
  */
 
 #include <chrono>
