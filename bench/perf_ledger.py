@@ -7,8 +7,9 @@ Record a ledger from the bench binaries of one build directory:
 
 runs the ten catalog benches plus fig11, fig12, sec56 and
 validation_cpi_crosscheck at --quick and full size, at --jobs 1 and
---jobs 4, REPS times each, printing each run's wall time to stderr. The repetitions are interleaved (every entry runs
-once per round, in a fixed order), so a host that drifts for minutes
+--jobs 4, REPS times each, printing each run's wall time to stderr.
+The repetitions are interleaved (every entry runs once per round, in
+a fixed order), so a host that drifts for minutes
 at a time spreads its drift over all entries instead of biasing one.
 Each run's wall time comes from the clock around fork/wait; user and
 sys seconds and minor faults come from os.wait4's rusage. The ledger
@@ -89,6 +90,7 @@ def run_once(binary, args):
                                 stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
+        # wait4 reaped the child; tell Popen, or it would wait again.
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
             err.seek(0)

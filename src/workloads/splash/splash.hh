@@ -37,7 +37,6 @@ struct SplashResult
     std::uint64_t invalidations = 0;
     /** Numerical checksum for cross-architecture validation. */
     double checksum = 0.0;
-
 };
 
 /** Common run parameters. */

@@ -10,7 +10,7 @@ upper quartile):
   table4 full j4  2x faster                          -> not flagged
   fig13 / fig14   in one ledger only                 -> reported only
 
-Run: python3 tests/test_perf_ledger.py [path/to/perf_ledger.py]
+Run: python3 tests/test_perf_ledger.py
 """
 
 import io
@@ -53,6 +53,4 @@ class CompareTest(unittest.TestCase):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        LEDGER = os.path.abspath(sys.argv.pop(1))
     unittest.main()
