@@ -3,14 +3,14 @@
 
 Record a ledger from the bench binaries of one build directory:
 
-    bench/perf_ledger.py BUILD_DIR --out BENCH_name.json [--reps 5]
+    bench/perf_ledger.py BUILD_DIR --out BENCH_name.json
 
 runs the ten catalog benches plus fig11, fig12, sec56 and
 validation_cpi_crosscheck at --quick and full size, at --jobs 1 and
---jobs 4, REPS times each, printing each run's wall time to stderr.
+--jobs 4, five times each, printing each run's wall time to stderr.
 The repetitions are interleaved (every entry runs once per round, in
-a fixed order), so a host that drifts for minutes
-at a time spreads its drift over all entries instead of biasing one.
+a fixed order), so a host that drifts for minutes at a time spreads
+its drift over all entries instead of biasing one.
 Each run's wall time comes from the clock around fork/wait; user and
 sys seconds and minor faults come from os.wait4's rusage. The ledger
 keeps every sample plus its median and quartiles, the host (nproc,
@@ -60,6 +60,7 @@ BENCHES = [
 
 SIZES = ("quick", "full")
 JOBS = (1, 4)
+REPS = 5
 METRICS = ("wall_s", "user_s", "sys_s", "minflt")
 
 # --compare flags NEW when its median is this much above OLD's median
@@ -73,11 +74,7 @@ def entry_key(entry):
 
 def summarize(samples):
     """Median and quartiles of a list of numbers."""
-    if len(samples) >= 2:
-        q1, q2, q3 = statistics.quantiles(samples, n=4,
-                                          method="inclusive")
-    else:
-        q1 = q2 = q3 = samples[0]
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1,
             "samples": samples}
 
@@ -162,7 +159,7 @@ def record(args):
 
     plan = [(b, s, j) for b in BENCHES for s in SIZES for j in JOBS]
     samples = {p: {m: [] for m in METRICS} for p in plan}
-    for rep in range(args.reps):
+    for rep in range(REPS):
         for bench, size, j in plan:
             flags = (["--quick"] if size == "quick" else []) + \
                 ["--jobs", str(j)]
@@ -174,7 +171,7 @@ def record(args):
                   file=sys.stderr)
 
     ledger = host_info(args.build_dir, binaries)
-    ledger["reps"] = args.reps
+    ledger["reps"] = REPS
     ledger["entries"] = [
         dict({"bench": b, "size": s, "jobs": j},
              **{m: summarize(samples[(b, s, j)][m]) for m in METRICS})
@@ -234,15 +231,12 @@ def main(argv=None):
     parser.add_argument("build_dir", nargs="?",
                         help="build directory whose bench/ to run")
     parser.add_argument("--out", help="ledger file (default stdout)")
-    parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
         return 1 if compare(*args.compare) else 0
     if not args.build_dir:
         parser.error("give a build directory or --compare OLD NEW")
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
     return record(args)
 
 
