@@ -80,13 +80,6 @@ MpScheduler::notRunning(unsigned cpu, const char *what) const
 }
 
 void
-MpScheduler::setQuantum(Tick quantum)
-{
-    quantum_ = quantum;
-    refreshLimit();
-}
-
-void
 MpScheduler::block(unsigned cpu)
 {
     if (cpu != running_)

@@ -84,15 +84,6 @@ class MpScheduler
     unsigned ncpus() const { return ncpus_; }
     Tick quantum() const { return quantum_; }
 
-    /**
-     * Change the skew quantum mid-run. Scheduling remains a pure
-     * function of the virtual timeline as long as the switch happens
-     * at deterministic points of that timeline, so runs stay
-     * reproducible. Must be called by the running CPU (or before
-     * run()).
-     */
-    void setQuantum(Tick quantum);
-
     /** Final virtual time of @p cpu after run(). */
     Tick cpuTime(unsigned cpu) const { return timeOf(cpu); }
 
@@ -157,7 +148,7 @@ class MpScheduler
     /**
      * advance() yields once the running CPU's time exceeds this: the
      * lowest time of the other runnable CPUs plus the quantum. Only a
-     * token transfer, unblock() or setQuantum() can change it.
+     * token transfer or unblock() can change it.
      */
     Tick limit_;
     const std::function<void(SimContext &)> *body_ = nullptr;

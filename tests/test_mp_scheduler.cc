@@ -213,15 +213,14 @@ struct ScriptOutcome
     std::vector<Tick> final_times;
     Tick makespan = 0;
     unsigned blocks = 0;
-    unsigned quantum_changes = 0;
 };
 
 /**
- * Seeded random per-CPU scripts of advance, block/unblock pairs and
- * setQuantum. A CPU blocks only while another CPU is still runnable,
- * and every CPU wakes all blocked peers before it finishes, so no
- * script deadlocks. Only one CPU runs at a time under either
- * scheduler, so the shared bookkeeping needs no lock.
+ * Seeded random per-CPU scripts of advance and block/unblock pairs.
+ * A CPU blocks only while another CPU is still runnable, and every
+ * CPU wakes all blocked peers before it finishes, so no script
+ * deadlocks. Only one CPU runs at a time under either scheduler, so
+ * the shared bookkeeping needs no lock.
  */
 template <class Sched>
 class ScriptRunner
@@ -236,10 +235,9 @@ class ScriptRunner
     void
     play(unsigned cpu)
     {
-        static constexpr Tick quanta[] = {0, 1, 64, 1024};
         Rng rng(seed_ * 1000003 + cpu);
         for (int step = 0; step < 150; ++step) {
-            const std::uint64_t op = rng.uniformInt(20);
+            const std::uint64_t op = rng.uniformInt(19);
             if (op < 16) {
                 // Mostly small steps, so clocks often land exactly on
                 // the skew limit; now and then a jump past any quantum.
@@ -249,15 +247,10 @@ class ScriptRunner
                                                 : rng.uniformInt(40));
             } else if (op < 18) {
                 wakeOne(cpu, rng);
-            } else if (op < 19) {
-                if (peerRunnable(cpu)) {
-                    blocked_[cpu] = true;
-                    ++out_.blocks;
-                    sched_.block(cpu);
-                }
-            } else {
-                sched_.setQuantum(quanta[rng.uniformInt(4)]);
-                ++out_.quantum_changes;
+            } else if (peerRunnable(cpu)) {
+                blocked_[cpu] = true;
+                ++out_.blocks;
+                sched_.block(cpu);
             }
             out_.trace.emplace_back(cpu, sched_.timeOf(cpu));
         }
@@ -354,7 +347,6 @@ TEST_P(MpSchedulerLockstep, MatchesThreadedReference)
             << "seed " << seed;
         EXPECT_EQ(fibers.makespan, threads.makespan) << "seed " << seed;
         EXPECT_EQ(fibers.trace.size(), ncpus * 150u);
-        EXPECT_GT(fibers.quantum_changes, 0u);
         if (ncpus > 1) {
             EXPECT_GT(fibers.blocks, 0u) << "seed " << seed;
         }

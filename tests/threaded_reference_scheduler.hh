@@ -87,13 +87,6 @@ class ThreadedReferenceScheduler
         return makespan;
     }
 
-    void
-    setQuantum(Tick quantum)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        quantum_ = quantum;
-    }
-
     Tick
     timeOf(unsigned cpu) const
     {
