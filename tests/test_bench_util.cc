@@ -160,6 +160,14 @@ TEST(BenchUtilDeathTest, SplashFigureRejectsRefs)
                                            nullptr),
                 testing::ExitedWithCode(2),
                 "\"refs\" does not apply to experiment \"fig13\"");
+    // SPLASH runs are never sampled: --sample is not one of their
+    // flags.
+    Argv s{"fig13_lu", "--quick", "--sample", "U=500,W=1000,k=50"};
+    EXPECT_EXIT(benchutil::runCatalogBench(server::Experiment::Fig13Lu,
+                                           "", s.argc(), s.argv(),
+                                           nullptr),
+                testing::ExitedWithCode(2),
+                "unknown flag '--sample'");
 }
 
 TEST(BenchUtilDeathTest, MissRateBenchesRejectCheckpointFlags)
