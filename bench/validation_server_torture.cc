@@ -35,12 +35,11 @@
  *                fresh, under a mixed-catalog storm, and replayed
  *                from cache after the SIGKILL;
  *
- *   batching     two distinct in-flight keys landing in one batch
- *                window (fig7 + fig8, whose per-workload units are
- *                identical) share one pool pass: the stats counters
- *                prove the second figure's points all rode along,
- *                and the batched pass beats sequential wall-clock
- *                by >= 1.3x;
+ *   batching     two distinct keys sent together (fig7 + fig8,
+ *                whose per-workload units are identical) share one
+ *                set of compute units: the stats counters prove the
+ *                second figure's points all rode along, and the
+ *                shared pass beats sequential wall-clock by >= 1.3x;
  *
  *   client       the mw-client binary itself: exit 0 on success,
  *                nonzero on a server-side error response
@@ -61,6 +60,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -94,6 +94,12 @@ using namespace memwall::server;
 #endif
 
 namespace {
+
+/** The server's --batch-window-ms: how long a finished unit stays
+ *  joinable. */
+constexpr std::uint64_t batch_window_ms = 60;
+/** Rounds of the batching leg's timed passes. */
+constexpr int batch_rounds = 3;
 
 struct Gate
 {
@@ -370,11 +376,12 @@ main(int argc, char **argv)
     const std::string cache_dir = scratch + "/cache";
 
     // ---- spawn -----------------------------------------------------
-    // A modest batch window so concurrent distinct keys coalesce —
-    // the batching leg depends on it; every other leg just rides the
-    // few extra milliseconds of collection latency.
+    // A window keeps finished units joinable, so the batching leg's
+    // pair shares its units even if one request lands after the
+    // other's units finished.
     pid_t pid = spawnServer(socket_path, cache_dir, jobs,
-                            {"--batch-window-ms", "60"});
+                            {"--batch-window-ms",
+                             std::to_string(batch_window_ms)});
     gate("server came up", waitForServer(socket_path, pid),
          "fork/exec + socket accept within 5s");
 
@@ -497,7 +504,7 @@ main(int argc, char **argv)
         plan_text + "\"" + seed_field + "}";
 
     // Mixed-catalog storm: all four entries land on the server at
-    // once (one shared batch window, four unrelated plans).
+    // once (four unrelated plans sharing the pool).
     const std::vector<std::pair<const std::string *,
                                 const std::string *>>
         catalog = {{&req_t1, &golden_t1},
@@ -519,84 +526,102 @@ main(int argc, char **argv)
          "table1/table3/fig13(nodes=1)/fig7-sampled, concurrent");
 
     // ---- batching leg ---------------------------------------------
-    // Sequential baseline: two fresh keys, one at a time — each pass
-    // computes every per-workload unit itself.
+    // Every request below uses the same refs, so it has the same unit
+    // keys as the last one. Waiting the window out (untimed) before
+    // each timed request keeps it from joining the previous one's
+    // finished units. Times are in microseconds: a pass takes a few
+    // ms, and whole-ms rounding would decide the ratio. For the same
+    // reason one preemption of a worker, say by tests that ctest runs
+    // beside this one, can swamp a single sample, so each leg's time
+    // is its fastest of batch_rounds rounds.
+    const auto wait_out_window = [] {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(batch_window_ms));
+    };
+    const auto elapsed_us = [](std::chrono::steady_clock::time_point t0) {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    };
     const auto timed_rpc = [&](const std::string &req) {
+        wait_out_window();
         const auto t0 = std::chrono::steady_clock::now();
         const std::string resp = rpc(socket_path, req);
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        return std::make_pair(resp, static_cast<std::uint64_t>(ms));
+        return std::make_pair(resp, elapsed_us(t0));
     };
-    const auto seq7 = timed_rpc(runRequest("fig7", refs, 9'001));
-    const auto seq8 = timed_rpc(runRequest("fig8", refs, 9'002));
-    const std::uint64_t t_seq = seq7.second + seq8.second;
-    bool seq_golden = resultBytes(seq7.first) == golden7 &&
-                      resultBytes(seq8.first) == golden8;
-
-    // Batched pass: the same two figures fired together. fig7 and
-    // fig8 at one window decompose into IDENTICAL per-workload units
-    // (one measureMissRates() pass yields both figures), so one
-    // batch computes the suite once and renders both documents.
-    // Retried with fresh seeds in case a scheduling stall makes the
-    // two requests miss one 60 ms window.
     const double suite_points =
         static_cast<double>(specSuite().size());
-    bool coalesced = false, shared_exact = false,
-         batch_golden = false;
-    std::uint64_t t_batch = 0;
-    for (int attempt = 0; attempt < 3 && !coalesced; ++attempt) {
+    std::uint64_t t_seq = ~std::uint64_t{0};
+    std::uint64_t t_batch = ~std::uint64_t{0};
+    bool seq_golden = true, batch_golden = true;
+    int joined_rounds = 0, exact_rounds = 0;
+    for (int round = 0; round < batch_rounds; ++round) {
+        const std::uint64_t seed = 9'001 + 4 * round;
+        // Sequential baseline: two fresh keys, one at a time — each
+        // pass computes every per-workload unit itself.
+        const auto seq7 = timed_rpc(runRequest("fig7", refs, seed));
+        const auto seq8 = timed_rpc(runRequest("fig8", refs, seed + 1));
+        t_seq = std::min(t_seq, seq7.second + seq8.second);
+        seq_golden = seq_golden && resultBytes(seq7.first) == golden7 &&
+                     resultBytes(seq8.first) == golden8;
+
+        // Shared pass: the same two figures fired together. fig7 and
+        // fig8 at the same refs decompose into IDENTICAL per-workload
+        // units (one measureMissRates() pass yields both figures), so
+        // the second request joins the first's units: the suite is
+        // computed once and both documents render from it. A round
+        // whose second request a scheduling stall delays past the
+        // window computes twice; one joined round suffices.
+        wait_out_window();
         const std::string before =
             rpc(socket_path, R"({"cmd":"stats"})");
-        const std::uint64_t seed7 = 9'100 + 2 * attempt;
         std::string b7, b8;
         const auto t0 = std::chrono::steady_clock::now();
         std::thread th7([&] {
-            b7 = rpc(socket_path, runRequest("fig7", refs, seed7));
+            b7 = rpc(socket_path, runRequest("fig7", refs, seed + 2));
         });
         std::thread th8([&] {
-            b8 = rpc(socket_path,
-                     runRequest("fig8", refs, seed7 + 1));
+            b8 = rpc(socket_path, runRequest("fig8", refs, seed + 3));
         });
         th7.join();
         th8.join();
-        t_batch = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
+        t_batch = std::min(t_batch, elapsed_us(t0));
         const std::string after =
             rpc(socket_path, R"({"cmd":"stats"})");
         const auto delta = [&](const char *name) {
             return statNumber(after, "counters", name) -
                    statNumber(before, "counters", name);
         };
-        coalesced = delta("batches") == 1.0 &&
-                    delta("batched_keys") == 2.0;
-        shared_exact = delta("points_computed") == suite_points &&
-                       delta("points_shared") == suite_points;
-        batch_golden = resultBytes(b7) == golden7 &&
+        if (delta("batches") == 1.0 && delta("batched_keys") == 2.0) {
+            ++joined_rounds;
+            if (delta("points_computed") == suite_points &&
+                delta("points_shared") == suite_points)
+                ++exact_rounds;
+        }
+        batch_golden = batch_golden && resultBytes(b7) == golden7 &&
                        resultBytes(b8) == golden8;
     }
     gate("batch coalesces distinct in-flight keys",
-         coalesced && batch_golden && seq_golden,
-         "fig7+fig8 in one batch, both documents golden");
+         joined_rounds > 0 && batch_golden && seq_golden,
+         "fig7+fig8 share one set of units in " +
+             std::to_string(joined_rounds) + "/" +
+             std::to_string(batch_rounds) +
+             " rounds, every document golden");
     gate("batch shares units exactly-once",
-         shared_exact,
+         joined_rounds > 0 && exact_rounds == joined_rounds,
          "points_computed=+" +
              std::to_string((long long)suite_points) +
              ", points_shared=+" +
              std::to_string((long long)suite_points));
-    const double speedup =
-        t_batch > 0 ? static_cast<double>(t_seq) /
-                          static_cast<double>(t_batch)
-                    : 0.0;
+    const double speedup = static_cast<double>(t_seq) /
+                           static_cast<double>(std::max<std::uint64_t>(
+                               t_batch, 1));
     char speedup_txt[96];
     std::snprintf(speedup_txt, sizeof(speedup_txt),
-                  "seq %llums vs batched %llums = %.2fx",
-                  (unsigned long long)t_seq,
-                  (unsigned long long)t_batch, speedup);
+                  "seq %.1fms vs batched %.1fms = %.2fx",
+                  static_cast<double>(t_seq) / 1e3,
+                  static_cast<double>(t_batch) / 1e3, speedup);
     gate("batched pass beats sequential >= 1.3x", speedup >= 1.3,
          speedup_txt);
 
@@ -618,8 +643,9 @@ main(int argc, char **argv)
          "bind over the dead server's socket file");
 
     // By the SIGKILL the journal held the identity + storm keys plus
-    // the four catalog entries and the four batching-leg keys.
-    const double expect_recovered = expect_computed + 8.0;
+    // the four catalog entries and four batching-leg keys per round.
+    const double expect_recovered =
+        expect_computed + 4.0 + 4.0 * batch_rounds;
     const std::string stats2 =
         rpc(socket_path, R"({"cmd":"stats"})");
     gate("journal replayed after SIGKILL",

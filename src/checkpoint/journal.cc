@@ -59,30 +59,32 @@ scanJournal(const std::string &path, std::string *why)
         scan.records[static_cast<std::size_t>(index)] =
             std::move(payload);
         scan.valid_bytes +=
-            SweepJournal::recordBytes(static_cast<std::size_t>(len));
+            RecordJournal::recordBytes(static_cast<std::size_t>(len));
     }
     scan.torn_bytes = bytes->size() - scan.valid_bytes;
     return scan;
 }
 
 bool
-SweepJournal::open(const std::string &path, std::uint64_t run_hash,
-                   std::string *why)
+RecordJournal::open(const std::string &path, std::uint64_t run_hash,
+                    JournalRecords *recovered, std::string *why)
 {
     close();
-    records_.clear();
+    if (recovered)
+        recovered->clear();
     recovered_ = 0;
     torn_bytes_ = 0;
     discarded_foreign_ = false;
 
     std::size_t valid_len = 0;
     bool fresh = true;
+    JournalRecords found;
     if (auto scan = scanJournal(path)) {
         if (scan->header_ok && scan->run_hash == run_hash) {
             fresh = false;
             valid_len = scan->valid_bytes;
-            records_ = std::move(scan->records);
-            recovered_ = records_.size();
+            found = std::move(scan->records);
+            recovered_ = found.size();
             torn_bytes_ = scan->torn_bytes;
         } else {
             // Present but not ours: a different run (or garbage).
@@ -140,13 +142,15 @@ SweepJournal::open(const std::string &path, std::uint64_t run_hash,
         return false;
     }
     bytes_ = valid_len;
+    if (recovered)
+        *recovered = std::move(found);
     return true;
 }
 
 bool
-SweepJournal::append(std::size_t index,
-                     const std::vector<std::uint8_t> &payload,
-                     std::string *why)
+RecordJournal::append(std::size_t index,
+                      const std::vector<std::uint8_t> &payload,
+                      std::string *why)
 {
     if (fd_ < 0) {
         if (why)
@@ -180,19 +184,18 @@ SweepJournal::append(std::size_t index,
             *why = errnoMessage("cannot fsync journal", path_);
         return false;
     }
-    records_[index] = payload;
     bytes_ += buf.size();
     return true;
 }
 
 std::size_t
-SweepJournal::recordBytes(std::size_t payload_bytes)
+RecordJournal::recordBytes(std::size_t payload_bytes)
 {
     return record_header + payload_bytes;
 }
 
 void
-SweepJournal::close()
+RecordJournal::close()
 {
     if (fd_ >= 0) {
         ::close(fd_);

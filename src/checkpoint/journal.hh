@@ -39,6 +39,9 @@
 namespace memwall {
 namespace ckpt {
 
+/** Intact record payloads, keyed by record index. */
+using JournalRecords = std::map<std::size_t, std::vector<std::uint8_t>>;
+
 /** What a read-only scan of a journal file found. */
 struct JournalScan
 {
@@ -46,8 +49,7 @@ struct JournalScan
      *  below the header was scanned. */
     bool header_ok = false;
     std::uint64_t run_hash = 0;
-    /** Intact records, keyed by record index. */
-    std::map<std::size_t, std::vector<std::uint8_t>> records;
+    JournalRecords records;
     std::size_t valid_bytes = 0; ///< header + intact records
     std::size_t torn_bytes = 0;  ///< everything after them
 };
@@ -60,23 +62,28 @@ struct JournalScan
 std::optional<JournalScan> scanJournal(const std::string &path,
                                        std::string *why = nullptr);
 
-class SweepJournal
+/**
+ * The writer of one journal file. It keeps no record in memory: the
+ * records found at open() go to the caller, and append() only writes.
+ */
+class RecordJournal
 {
   public:
-    SweepJournal() = default;
-    ~SweepJournal() { close(); }
+    RecordJournal() = default;
+    ~RecordJournal() { close(); }
 
-    SweepJournal(const SweepJournal &) = delete;
-    SweepJournal &operator=(const SweepJournal &) = delete;
+    RecordJournal(const RecordJournal &) = delete;
+    RecordJournal &operator=(const RecordJournal &) = delete;
 
     /**
      * Open (or create) the journal at @p path for run @p run_hash.
-     * Existing valid records are loaded into records(); a torn tail
-     * is truncated; a foreign run hash discards the old contents.
-     * Returns false with @p why on I/O errors.
+     * Existing valid records are moved into @p recovered when it is
+     * non-null (which is cleared first) and dropped otherwise; a torn
+     * tail is truncated; a foreign run hash discards the old
+     * contents. Returns false with @p why on I/O errors.
      */
     bool open(const std::string &path, std::uint64_t run_hash,
-              std::string *why = nullptr);
+              JournalRecords *recovered, std::string *why = nullptr);
 
     /**
      * Append one record and fsync it. Not thread-safe: the caller
@@ -90,17 +97,6 @@ class SweepJournal
                 std::string *why = nullptr);
 
     void close();
-
-    /**
-     * All live records, keyed by record index. The server's result
-     * cache walks this map at startup to rebuild its memo table from
-     * a crash-surviving journal.
-     */
-    const std::map<std::size_t, std::vector<std::uint8_t>> &
-    records() const
-    {
-        return records_;
-    }
 
     /**
      * Bytes of the file: the header plus every record open() kept
@@ -121,7 +117,6 @@ class SweepJournal
   private:
     int fd_ = -1;
     std::string path_; ///< for error messages naming the file
-    std::map<std::size_t, std::vector<std::uint8_t>> records_;
     std::size_t bytes_ = 0;
     std::size_t recovered_ = 0;
     std::size_t torn_bytes_ = 0;

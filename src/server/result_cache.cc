@@ -58,14 +58,17 @@ ResultCache::open(const std::string &dir, std::uint64_t cap_bytes,
         return false;
     }
 
-    if (!journal_.open(journal_path_, run_hash_, why))
+    // The recovered records live only until the memo table holds
+    // their decoded copies.
+    ckpt::JournalRecords records;
+    if (!journal_.open(journal_path_, run_hash_, &records, why))
         return false;
 
     // Replay: records are keyed by insertion sequence, so the map
     // walk reproduces insertion order and seq bookkeeping exactly.
     entries_.clear();
     next_seq_ = 0;
-    for (const auto &[seq, payload] : journal_.records()) {
+    for (const auto &[seq, payload] : records) {
         ckpt::Decoder d(payload);
         d.u64(); // key hash; recomputable, kept for inspection
         const std::string canonical = d.str();
@@ -127,8 +130,8 @@ ResultCache::compact(std::string *why)
 {
     const std::string tmp = journal_path_ + ".compact";
     ::unlink(tmp.c_str());
-    ckpt::SweepJournal rewrite;
-    if (!rewrite.open(tmp, run_hash_, why))
+    ckpt::RecordJournal rewrite;
+    if (!rewrite.open(tmp, run_hash_, nullptr, why))
         return false;
 
     // Newest-first, keep while under the cap (the newest entry is
@@ -153,7 +156,7 @@ ResultCache::compact(std::string *why)
         auto payload =
             encodePayload(*canonical, entries_[*canonical].result);
         const std::uint64_t cost =
-            ckpt::SweepJournal::recordBytes(payload.size());
+            ckpt::RecordJournal::recordBytes(payload.size());
         if (!keep.empty() && bytes + cost > cap_bytes_)
             break;
         bytes += cost;
@@ -178,12 +181,15 @@ ResultCache::compact(std::string *why)
         ::unlink(tmp.c_str());
         // Reopen the untouched original so the cache stays usable.
         std::string reopen_why;
-        if (!journal_.open(journal_path_, run_hash_, &reopen_why))
+        if (!journal_.open(journal_path_, run_hash_, nullptr,
+                           &reopen_why))
             MW_WARN("result cache: reopen after failed compaction: ",
                     reopen_why);
         return false;
     }
-    if (!journal_.open(journal_path_, run_hash_, why))
+    // The survivors are in entries_ already; the reopen's records
+    // would be a second copy of them.
+    if (!journal_.open(journal_path_, run_hash_, nullptr, why))
         return false;
 
     // Rebuild the memo table from the survivors with fresh seqs.

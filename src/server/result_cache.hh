@@ -2,7 +2,7 @@
  * @file
  * Crash-safe memo cache for experiment results.
  *
- * The cache's only on-disk copy is an append-only ckpt::SweepJournal
+ * The cache's only on-disk copy is an append-only ckpt::RecordJournal
  * ("results.mwsj"): one fsync'd, CRC-checked record per computed
  * result, keyed by insertion sequence, whose payload is the FNV-1a
  * hash of the canonical run key, the key itself and the result
@@ -93,7 +93,7 @@ class ResultCache
     std::size_t recovered_ = 0;
     std::size_t torn_bytes_ = 0;
     bool discarded_foreign_ = false;
-    ckpt::SweepJournal journal_;
+    ckpt::RecordJournal journal_;
     std::map<std::string, Entry> entries_;
 };
 

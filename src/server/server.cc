@@ -56,22 +56,27 @@ struct MwServer::ComputeJob
     std::atomic<std::int64_t> fault_countdown{0};
 };
 
-/** One deduplicated computation inside a batch pass: the compute
- *  closure of the first point that named this unit key, plus every
- *  (job, point index) its result must be delivered to. Immutable
- *  after the batcher publishes it to the pool, except through the
- *  subscribing jobs' own synchronization. */
+/** One deduplicated computation: the compute closure of the first
+ *  point that named this unit key, every (job, point index) waiting
+ *  for its result and, once it has run, that result or failure.
+ *  key, label, compute and fault_job are immutable once the unit is
+ *  admitted; the rest is guarded by MwServer::mu_. */
 struct MwServer::ComputeUnit
 {
+    std::string key;
     std::string label;
     std::function<std::shared_ptr<void>()> compute;
     /** The owning job when this unit is fault-injected; unit keys of
-     *  fault runs are scoped to their canonical key, so a fault unit
-     *  has exactly one subscriber and this is it. Null for clean
-     *  units. */
+     *  fault runs are scoped to their canonical key and never
+     *  joined, so a fault unit has exactly one subscriber and this
+     *  is it. Null for clean units. */
     std::shared_ptr<ComputeJob> fault_job;
     std::vector<std::pair<std::shared_ptr<ComputeJob>, std::size_t>>
         subscribers;
+    bool finished = false;
+    std::shared_ptr<void> result; ///< null when the unit failed
+    std::string error;            ///< when it failed
+    Clock::time_point finished_at;
 };
 
 MwServer::~MwServer()
@@ -130,11 +135,11 @@ MwServer::start(std::string *why)
 
     pool_ = std::make_unique<ThreadPool>(opt_.jobs);
     // A restart after shutdownInternal() must not inherit the old
-    // stop flag or runs that were queued but never batched.
+    // stop flag or units finished before it.
     stopping_ = false;
-    pending_.clear();
     inflight_.clear();
-    batcher_ = std::thread([this] { batcherLoop(); });
+    units_.clear();
+    finished_units_.clear();
     started_ = true;
     return true;
 }
@@ -174,7 +179,6 @@ MwServer::shutdownInternal()
         for (auto &[id, conn] : connections_)
             ::shutdown(conn.fd, SHUT_RDWR);
     }
-    batch_cv_.notify_all();
 
     for (;;) {
         std::vector<std::thread> dead;
@@ -192,11 +196,9 @@ MwServer::shutdownInternal()
             t.join();
     }
 
-    // The batcher must stop submitting before the pool dies.
-    if (batcher_.joinable())
-        batcher_.join();
-    // Drain outstanding computations before the cache goes away:
-    // finalize still wants to journal their results.
+    // Every unit was submitted by a connection thread, all joined
+    // above. Drain outstanding computations before the cache goes
+    // away: finalize still wants to journal their results.
     pool_.reset();
     cache_.close();
 
@@ -396,11 +398,12 @@ MwServer::handleRun(const Request &req)
 
     std::unique_lock<std::mutex> lk(mu_);
     std::shared_ptr<Inflight> entry;
+    std::shared_ptr<ComputeJob> job; // set when this request owns the run
     // Two passes at most: the first may drop mu_ to probe the cache
-    // (the probe must not hold mu_ — the memo journal may be mid-
-    // fsync or compaction under cache_mu_, and request handling must
-    // not stall behind that disk I/O), after which stop and in-flight
-    // state must be re-checked from scratch.
+    // (the probe must not hold mu_ — the journal may be mid-fsync or
+    // compaction under cache_mu_, and the two locks never nest),
+    // after which stop and in-flight state must be re-checked from
+    // scratch.
     for (bool probed = false; entry == nullptr;) {
         if (stopping_)
             return errorResponse(req.id, ErrorCode::ShuttingDown,
@@ -440,7 +443,7 @@ MwServer::handleRun(const Request &req)
         entry->cacheable = !req.run.has_fault;
         inflight_[canonical] = entry;
 
-        auto job = std::make_shared<ComputeJob>();
+        job = std::make_shared<ComputeJob>();
         job->canonical = canonical;
         job->entry = entry;
         job->run = req.run;
@@ -455,8 +458,22 @@ MwServer::handleRun(const Request &req)
         job->remaining = job->plan.points.size();
         job->fault_countdown = static_cast<std::int64_t>(
             req.run.has_fault ? req.run.fault_fail_points : 0);
-        pending_.push_back(std::move(job));
-        batch_cv_.notify_one();
+    }
+
+    if (job) {
+        const std::vector<std::shared_ptr<ComputeUnit>> fresh =
+            admit(job);
+        // A run whose points all joined finished units is complete
+        // already. finalize() journals under cache_mu_, and the new
+        // units need no lock to submit, so both happen with mu_
+        // dropped.
+        const bool complete = job->remaining == 0;
+        lk.unlock();
+        if (complete)
+            finalize(job);
+        for (const auto &unit : fresh)
+            pool_->submit([this, unit] { runUnit(unit); });
+        lk.lock();
     }
 
     // Owner and joiners alike wait for completion, stop or their own
@@ -490,61 +507,73 @@ MwServer::handleRun(const Request &req)
                          "server is draining");
 }
 
-void
-MwServer::batcherLoop()
+std::vector<std::shared_ptr<MwServer::ComputeUnit>>
+MwServer::admit(const std::shared_ptr<ComputeJob> &job)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stopping_) {
-        batch_cv_.wait(
-            lk, [&] { return stopping_ || !pending_.empty(); });
-        if (stopping_)
-            break;
-        if (opt_.batch_window_ms > 0) {
-            // Linger with the queue open so near-simultaneous
-            // requests coalesce into this pass.
-            lk.unlock();
-            std::this_thread::sleep_for(ms(opt_.batch_window_ms));
-            lk.lock();
-            if (stopping_)
-                break;
+    expireUnits(Clock::now());
+    // Submission order follows plan order, so a run that shares
+    // nothing schedules exactly like a run on an idle server.
+    std::vector<std::shared_ptr<ComputeUnit>> fresh;
+    std::size_t joined = 0;
+    for (std::size_t i = 0; i < job->plan.points.size(); ++i) {
+        CatalogPoint &pt = job->plan.points[i];
+        const auto it = job->run.has_fault ? units_.end()
+                                           : units_.find(pt.unit_key);
+        if (it != units_.end()) {
+            ComputeUnit &unit = *it->second;
+            ++joined;
+            if (unit.finished)
+                deliver(unit, *job, i);
+            else
+                unit.subscribers.emplace_back(job, i);
+            continue;
         }
-        std::vector<std::shared_ptr<ComputeJob>> batch;
-        batch.swap(pending_);
-
-        // Coalesce equal unit keys across every run in the batch:
-        // one computation, delivered to all subscribers. Submission
-        // order follows first appearance, so a solo batch schedules
-        // exactly like the pre-batching server did.
-        std::map<std::string, std::shared_ptr<ComputeUnit>> units;
-        std::vector<std::shared_ptr<ComputeUnit>> order;
-        std::size_t points_total = 0;
-        for (const auto &job : batch) {
-            for (std::size_t i = 0; i < job->plan.points.size();
-                 ++i) {
-                CatalogPoint &pt = job->plan.points[i];
-                std::shared_ptr<ComputeUnit> &slot =
-                    units[pt.unit_key];
-                if (!slot) {
-                    slot = std::make_shared<ComputeUnit>();
-                    slot->label = pt.label;
-                    slot->compute = std::move(pt.compute);
-                    if (job->run.has_fault)
-                        slot->fault_job = job;
-                    order.push_back(slot);
-                }
-                slot->subscribers.emplace_back(job, i);
-                ++points_total;
-            }
-        }
+        auto unit = std::make_shared<ComputeUnit>();
+        unit->key = pt.unit_key;
+        unit->label = pt.label;
+        unit->compute = std::move(pt.compute);
+        if (job->run.has_fault)
+            unit->fault_job = job;
+        else
+            units_.emplace(unit->key, unit);
+        unit->subscribers.emplace_back(job, i);
+        fresh.push_back(std::move(unit));
+    }
+    ++counters_.batched_keys;
+    if (joined == 0)
         ++counters_.batches;
-        counters_.batched_keys += batch.size();
-        counters_.points_computed += order.size();
-        counters_.points_shared += points_total - order.size();
+    counters_.points_computed += fresh.size();
+    counters_.points_shared += joined;
+    return fresh;
+}
 
-        lk.unlock();
-        for (const auto &unit : order)
-            pool_->submit([this, unit] { runUnit(unit); });
-        lk.lock();
+bool
+MwServer::deliver(const ComputeUnit &unit, ComputeJob &job,
+                  std::size_t index)
+{
+    if (unit.result) {
+        job.results[index] = unit.result;
+    } else {
+        ++counters_.worker_failures;
+        if (!job.failed) {
+            job.failed = true;
+            job.fail_detail = unit.label + " failed: " + unit.error;
+        }
+    }
+    MW_ASSERT(job.remaining > 0, "compute job over-completed");
+    return --job.remaining == 0;
+}
+
+void
+MwServer::expireUnits(Clock::time_point now)
+{
+    // Units finish in finished_at order, so the expired ones are a
+    // prefix of the queue.
+    while (!finished_units_.empty() &&
+           now - finished_units_.front()->finished_at >=
+               ms(opt_.batch_window_ms)) {
+        units_.erase(finished_units_.front()->key);
+        finished_units_.pop_front();
     }
 }
 
@@ -574,22 +603,21 @@ MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
     std::vector<std::shared_ptr<ComputeJob>> completed;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &[job, index] : unit->subscribers) {
-            if (result) {
-                job->results[index] = result;
-            } else {
-                ++counters_.worker_failures;
-                if (!job->failed) {
-                    job->failed = true;
-                    job->fail_detail =
-                        unit->label + " failed: " + error;
-                }
-            }
-            MW_ASSERT(job->remaining > 0,
-                      "compute job over-completed");
-            if (--job->remaining == 0)
+        unit->finished = true;
+        unit->result = std::move(result);
+        unit->error = std::move(error);
+        for (const auto &[job, index] : unit->subscribers)
+            if (deliver(*unit, *job, index))
                 completed.push_back(job);
+        unit->subscribers.clear();
+        // A clean unit stays joinable for the window; with a window
+        // of 0, expireUnits() drops it at once.
+        const Clock::time_point now = Clock::now();
+        if (!fault) {
+            unit->finished_at = now;
+            finished_units_.push_back(unit);
         }
+        expireUnits(now);
     }
     for (const auto &job : completed)
         finalize(job);
@@ -611,7 +639,7 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
     // inflight_ until the cache holds it, so a duplicate request can
     // never slip between the two and recompute. The fsync (and any
     // compaction) runs under cache_mu_ only — never under mu_ — so
-    // request handling and stats do not stall behind disk I/O.
+    // admission and completion do not stall behind disk I/O.
     if (!job->failed && entry->cacheable) {
         std::string why;
         std::lock_guard<std::mutex> cache_lock(cache_mu_);

@@ -9,25 +9,31 @@
  *
  *  - Deduplication: concurrent requests for the same canonical run
  *    key share ONE computation. The first requester becomes the
- *    owner and enqueues the run; later requesters join the in-flight
+ *    owner and admits the run; later requesters join the in-flight
  *    entry as waiters. A completed result is journaled into the
  *    cache BEFORE the in-flight entry is erased, so the key is
  *    always visible in one of the two and a request either joins the
  *    computation or hits the cache — never recomputes. The journal
  *    fsync (and any compaction) runs under a dedicated cache mutex,
- *    never under the state mutex, so request handling never stalls
- *    behind disk I/O.
+ *    never under the state mutex, so admission, completion and pings
+ *    never wait on disk I/O. A run's cache probe and a stats
+ *    snapshot do take the cache mutex, so they can wait out another
+ *    run's journal fsync.
  *
- *  - Batching: enqueued runs are decomposed into catalog points
- *    (see server/catalog.hh) by a batcher thread that drains the
- *    queue in one pass — optionally after a short batch window — and
- *    coalesces points with equal unit keys across DISTINCT in-flight
- *    keys into one pool task each. A fig7 and a fig8 request at the
- *    same window need the same per-workload miss-rate pass; batched
- *    together, that pass runs once and both documents render from
- *    it. Completion distributes the shared result to every
- *    subscribing request; a request is finalized when its last point
- *    lands, exactly once, whether or not any point was shared.
+ *  - Batching: a new run is decomposed into catalog points (see
+ *    server/catalog.hh) and admitted at once, under the state mutex.
+ *    Each point joins the compute unit of its unit key if one is
+ *    queued, running, or finished less than batch_window_ms ago;
+ *    every other point becomes a new unit, submitted to the pool
+ *    right away. A fig7 and a fig8 request with the same refs need
+ *    the same per-workload miss-rate pass, so the second to arrive
+ *    joins the first's units and both documents render from one
+ *    pass. The window is how long a finished unit stays joinable,
+ *    not a wait: nothing sleeps before a unit starts. A finished
+ *    unit hands its result (or failure) to a joining point at once;
+ *    a running one hands it to every subscribing request when it
+ *    completes. A request is finalized when its last point lands,
+ *    exactly once, whether or not any point was shared.
  *
  *  - Deadlines: a waiter whose deadline_ms expires gets a
  *    deadline_exceeded error immediately; the computation itself is
@@ -63,6 +69,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,9 +96,9 @@ struct ServerOptions
     std::uint64_t cache_cap_bytes = 0; ///< 0 = unbounded
     std::uint64_t max_connections = 32;
     std::uint64_t max_inflight = 8;
-    /** Batcher linger before draining the run queue: 0 drains
-     *  immediately (requests still coalesce while the pool is
-     *  busy); >0 trades latency for larger batches. */
+    /** How long a finished compute unit stays joinable by a later
+     *  run with the same unit key. Not a wait: a run's new units go
+     *  to the pool at once. 0 shares only queued or running units. */
     std::uint64_t batch_window_ms = 0;
     bool allow_test_faults = false;
 };
@@ -108,10 +115,10 @@ struct ServerCounters
     std::uint64_t bad_requests = 0;  ///< schema/frame/json rejections
     std::uint64_t deadline_misses = 0;
     std::uint64_t worker_failures = 0;
-    std::uint64_t batches = 0;       ///< batcher pool passes
-    std::uint64_t batched_keys = 0;  ///< runs drained into a batch
-    std::uint64_t points_computed = 0; ///< unit computations executed
-    std::uint64_t points_shared = 0; ///< unit results reused in-batch
+    std::uint64_t batches = 0;       ///< runs that joined no unit
+    std::uint64_t batched_keys = 0;  ///< runs admitted
+    std::uint64_t points_computed = 0; ///< compute units created
+    std::uint64_t points_shared = 0; ///< points that joined a unit
 };
 
 class MwServer
@@ -125,8 +132,8 @@ class MwServer
 
     /**
      * Open the cache, bind the socket (reclaiming a stale file from
-     * a killed server) and start the pool and batcher. Returns
-     * false with @p why on failure.
+     * a killed server) and start the pool. Returns false with @p why
+     * on failure.
      */
     bool start(std::string *why);
 
@@ -164,7 +171,8 @@ class MwServer
 
     /** Scatter/gather context for one experiment computation. */
     struct ComputeJob;
-    /** One deduplicated unit of work inside a batch pass. */
+    /** One deduplicated unit of work, shared by every point that
+     *  names its unit key. */
     struct ComputeUnit;
 
     struct Connection
@@ -181,9 +189,17 @@ class MwServer
                               bool &close_after);
     std::string handleRun(const Request &req);
     std::string statsJson();
-    /** Drain the run queue into batches; coalesce unit keys across
-     *  the batch and submit one pool task per unique unit. */
-    void batcherLoop();
+    /** Under mu_: join each point of @p job to the live unit of its
+     *  key, or make it a new unit. Returns the new units, which the
+     *  caller submits to the pool once mu_ is dropped. */
+    std::vector<std::shared_ptr<ComputeUnit>>
+    admit(const std::shared_ptr<ComputeJob> &job);
+    /** Under mu_: hand finished @p unit's result or failure to point
+     *  @p index of @p job. True when that was the job's last point. */
+    bool deliver(const ComputeUnit &unit, ComputeJob &job,
+                 std::size_t index);
+    /** Under mu_: forget finished units older than the window. */
+    void expireUnits(Clock::time_point now);
     /** One compute unit; runs on the pool. Distributes the result
      *  (or the failure) to every subscribing job. */
     void runUnit(const std::shared_ptr<ComputeUnit> &unit);
@@ -211,15 +227,16 @@ class MwServer
     ResultCache cache_; // guarded by cache_mu_ once threads exist
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;
     ServerCounters counters_;
-    /** Runs awaiting a batch pass; guarded by mu_. */
-    std::vector<std::shared_ptr<ComputeJob>> pending_;
-    std::condition_variable batch_cv_; ///< wakes the batcher
+    /** Joinable units by unit key: queued, running, or finished
+     *  within the window. Fault-injected units never enter it.
+     *  Guarded by mu_. */
+    std::map<std::string, std::shared_ptr<ComputeUnit>> units_;
+    /** The finished units of units_, oldest first; guarded by mu_. */
+    std::deque<std::shared_ptr<ComputeUnit>> finished_units_;
 
     std::map<std::uint64_t, Connection> connections_;
     std::vector<std::uint64_t> finished_connections_;
     std::uint64_t next_conn_id_ = 0;
-
-    std::thread batcher_;
 };
 
 } // namespace server

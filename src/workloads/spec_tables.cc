@@ -75,7 +75,7 @@ runTable1Point(std::size_t index, std::uint64_t refs)
 
     std::uint64_t instructions = 0;
     double cycles = 0;
-    const RefSink sink = [&](const MemRef &ref) {
+    const auto sink = [&](const MemRef &ref) {
         const RefKind kind = ref.type == RefType::IFetch
             ? RefKind::IFetch
             : (ref.type == RefType::Store ? RefKind::Store
@@ -93,10 +93,10 @@ runTable1Point(std::size_t index, std::uint64_t refs)
         }
     };
     // Warm up.
-    source.generate(point_refs / 4, sink);
+    source.generateInto(point_refs / 4, sink);
     instructions = 0;
     cycles = 0;
-    source.generate(point_refs, sink);
+    source.generateInto(point_refs, sink);
 
     MachineRun out;
     out.cpi = instructions

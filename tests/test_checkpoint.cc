@@ -199,7 +199,7 @@ TEST(CkptContainer, TwoProcessWriteReadRaceNeverShowsTornFile)
     EXPECT_EQ(ckpt::readFileBytes(path), payload_b);
 }
 
-// ---- Sweep journal -----------------------------------------------------
+// ---- Record journal (suites keep the class's earlier name) -------------
 
 namespace {
 
@@ -219,31 +219,38 @@ TEST(SweepJournal, AppendCloseRecover)
     TempDir dir;
     const std::string path = dir.file("run.mwsj");
     {
-        ckpt::SweepJournal j;
+        ckpt::RecordJournal j;
         std::string why;
-        ASSERT_TRUE(j.open(path, 42, &why)) << why;
+        ckpt::JournalRecords none;
+        ASSERT_TRUE(j.open(path, 42, &none, &why)) << why;
         EXPECT_EQ(j.recovered(), 0u);
+        EXPECT_TRUE(none.empty());
         std::size_t expect = j.bytes(); // a fresh journal's header
         for (std::size_t i = 0; i < 3; ++i) {
             ASSERT_TRUE(j.append(i, payloadFor(i), &why)) << why;
-            expect += ckpt::SweepJournal::recordBytes(
+            expect += ckpt::RecordJournal::recordBytes(
                 payloadFor(i).size());
         }
         // The journal accounts for exactly the bytes it wrote.
         EXPECT_EQ(j.bytes(), expect);
         EXPECT_EQ(j.bytes(), ckpt::readFileBytes(path)->size());
     }
-    ckpt::SweepJournal j;
-    ASSERT_TRUE(j.open(path, 42));
+    ckpt::RecordJournal j;
+    ckpt::JournalRecords records;
+    ASSERT_TRUE(j.open(path, 42, &records));
     EXPECT_EQ(j.bytes(), ckpt::readFileBytes(path)->size());
     EXPECT_EQ(j.recovered(), 3u);
     EXPECT_EQ(j.tornBytes(), 0u);
     EXPECT_FALSE(j.discardedForeign());
-    ASSERT_EQ(j.records().size(), 3u);
+    ASSERT_EQ(records.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
-        ASSERT_EQ(j.records().count(i), 1u) << i;
-        EXPECT_EQ(j.records().at(i), payloadFor(i));
+        ASSERT_EQ(records.count(i), 1u) << i;
+        EXPECT_EQ(records.at(i), payloadFor(i));
     }
+    // A reopen without a record map still counts what it found.
+    ckpt::RecordJournal k;
+    ASSERT_TRUE(k.open(path, 42, nullptr));
+    EXPECT_EQ(k.recovered(), 3u);
 }
 
 TEST(SweepJournal, TornTailTruncatedAndAppendable)
@@ -251,8 +258,8 @@ TEST(SweepJournal, TornTailTruncatedAndAppendable)
     TempDir dir;
     const std::string path = dir.file("run.mwsj");
     {
-        ckpt::SweepJournal j;
-        ASSERT_TRUE(j.open(path, 42));
+        ckpt::RecordJournal j;
+        ASSERT_TRUE(j.open(path, 42, nullptr));
         ASSERT_TRUE(j.append(0, payloadFor(0)));
         ASSERT_TRUE(j.append(1, payloadFor(1)));
     }
@@ -264,18 +271,21 @@ TEST(SweepJournal, TornTailTruncatedAndAppendable)
         std::fwrite(garbage, 1, sizeof(garbage), f);
         std::fclose(f);
     }
-    ckpt::SweepJournal j;
-    ASSERT_TRUE(j.open(path, 42));
+    ckpt::RecordJournal j;
+    ckpt::JournalRecords records;
+    ASSERT_TRUE(j.open(path, 42, &records));
     EXPECT_EQ(j.recovered(), 2u);
     EXPECT_GT(j.tornBytes(), 0u);
     EXPECT_EQ(j.bytes(), ckpt::readFileBytes(path)->size());
-    ASSERT_EQ(j.records().count(1), 1u);
+    ASSERT_EQ(records.count(1), 1u);
     // The journal is append-clean again after truncation.
     ASSERT_TRUE(j.append(2, payloadFor(2)));
     j.close();
-    ckpt::SweepJournal j2;
-    ASSERT_TRUE(j2.open(path, 42));
+    ckpt::RecordJournal j2;
+    ASSERT_TRUE(j2.open(path, 42, &records));
     EXPECT_EQ(j2.recovered(), 3u);
+    ASSERT_EQ(records.size(), 3u);
+    EXPECT_EQ(records.at(2), payloadFor(2));
 }
 
 TEST(SweepJournal, CorruptPayloadMarksTornTail)
@@ -283,8 +293,8 @@ TEST(SweepJournal, CorruptPayloadMarksTornTail)
     TempDir dir;
     const std::string path = dir.file("run.mwsj");
     {
-        ckpt::SweepJournal j;
-        ASSERT_TRUE(j.open(path, 42));
+        ckpt::RecordJournal j;
+        ASSERT_TRUE(j.open(path, 42, nullptr));
         ASSERT_TRUE(j.append(0, payloadFor(0)));
         ASSERT_TRUE(j.append(1, payloadFor(1)));
     }
@@ -296,12 +306,13 @@ TEST(SweepJournal, CorruptPayloadMarksTornTail)
         ASSERT_TRUE(ckpt::atomicWriteFile(path, bytes->data(),
                                           bytes->size()));
     }
-    ckpt::SweepJournal j;
-    ASSERT_TRUE(j.open(path, 42));
+    ckpt::RecordJournal j;
+    ckpt::JournalRecords records;
+    ASSERT_TRUE(j.open(path, 42, &records));
     EXPECT_EQ(j.recovered(), 1u);
     EXPECT_GT(j.tornBytes(), 0u);
-    EXPECT_EQ(j.records().count(0), 1u);
-    EXPECT_EQ(j.records().count(1), 0u);
+    EXPECT_EQ(records.count(0), 1u);
+    EXPECT_EQ(records.count(1), 0u);
 }
 
 TEST(SweepJournal, ForeignRunHashDiscardsContents)
@@ -309,15 +320,17 @@ TEST(SweepJournal, ForeignRunHashDiscardsContents)
     TempDir dir;
     const std::string path = dir.file("run.mwsj");
     {
-        ckpt::SweepJournal j;
-        ASSERT_TRUE(j.open(path, 42));
+        ckpt::RecordJournal j;
+        ASSERT_TRUE(j.open(path, 42, nullptr));
         ASSERT_TRUE(j.append(0, payloadFor(0)));
     }
-    ckpt::SweepJournal j;
-    ASSERT_TRUE(j.open(path, 43));
+    ckpt::RecordJournal j;
+    // Stale contents in the caller's map must not survive the open.
+    ckpt::JournalRecords records = {{7, payloadFor(7)}};
+    ASSERT_TRUE(j.open(path, 43, &records));
     EXPECT_TRUE(j.discardedForeign());
     EXPECT_EQ(j.recovered(), 0u);
-    EXPECT_TRUE(j.records().empty());
+    EXPECT_TRUE(records.empty());
 }
 
 TEST(SweepJournal, InspectorListsTornJournalWithoutWritingIt)
@@ -327,8 +340,8 @@ TEST(SweepJournal, InspectorListsTornJournalWithoutWritingIt)
     TempDir dir;
     const std::string path = dir.file("run.mwsj");
     {
-        ckpt::SweepJournal j;
-        ASSERT_TRUE(j.open(path, 42));
+        ckpt::RecordJournal j;
+        ASSERT_TRUE(j.open(path, 42, nullptr));
         ASSERT_TRUE(j.append(0, payloadFor(0)));
         ASSERT_TRUE(j.append(5, payloadFor(5)));
     }
@@ -366,8 +379,8 @@ TEST(SweepJournal, InspectorListsTornJournalWithoutWritingIt)
 TEST(SweepJournal, AppendAfterCloseIsNamedError)
 {
     TempDir dir;
-    ckpt::SweepJournal j;
-    ASSERT_TRUE(j.open(dir.file("j.mwsj"), 1));
+    ckpt::RecordJournal j;
+    ASSERT_TRUE(j.open(dir.file("j.mwsj"), 1, nullptr));
     j.close();
     std::string why;
     EXPECT_FALSE(j.append(0, {1, 2, 3}, &why));
@@ -376,10 +389,10 @@ TEST(SweepJournal, AppendAfterCloseIsNamedError)
 
 TEST(SweepJournal, OpenFailureNamesPathAndErrno)
 {
-    ckpt::SweepJournal j;
+    ckpt::RecordJournal j;
     std::string why;
     // /dev/null is not a directory: open(2) fails with ENOTDIR.
-    EXPECT_FALSE(j.open("/dev/null/sub/j.mwsj", 1, &why));
+    EXPECT_FALSE(j.open("/dev/null/sub/j.mwsj", 1, nullptr, &why));
     EXPECT_NE(why.find("cannot open journal"), std::string::npos)
         << why;
     EXPECT_NE(why.find("/dev/null/sub/j.mwsj"), std::string::npos)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -999,8 +1000,8 @@ TEST(MwServerTest, BatchingComputesSharedUnitsOnce)
 {
     // fig7 and fig8 at the same window decompose into the SAME
     // per-workload units (one measureMissRates() pass yields both
-    // figures). Landing in one batch, the shared units must be
-    // computed once and distributed to both requests.
+    // figures). Sent together, the second request joins the first's
+    // units: they are computed once and distributed to both.
     ServerOptions opt;
     opt.jobs = 4;
     opt.batch_window_ms = 250;
@@ -1030,7 +1031,7 @@ TEST(MwServerTest, BatchingComputesSharedUnitsOnce)
     const ServerCounters c = srv.server().counters();
     EXPECT_EQ(c.computed, 2u) << "both requests completed";
     EXPECT_EQ(c.batches, 1u)
-        << "the window must have coalesced both requests";
+        << "only the first request may start units of its own";
     EXPECT_EQ(c.batched_keys, 2u);
     EXPECT_EQ(c.points_computed, suite)
         << "one shared unit per workload";
@@ -1038,11 +1039,153 @@ TEST(MwServerTest, BatchingComputesSharedUnitsOnce)
         << "the second figure's points all rode along";
 }
 
+/** The figure document of an ok envelope, trailing newline included:
+ *  the protocol puts "result" last, so it runs to the closing brace. */
+std::string
+resultDocument(const std::string &response)
+{
+    const JsonValue v = parseOk(response);
+    const JsonValue *r = v.find("result");
+    if (r == nullptr)
+        return "";
+    return response.substr(r->begin, response.size() - 1 - r->begin);
+}
+
+/** Poll the counters until @p done holds; false after ~10 s. */
+template <typename Pred>
+bool
+waitForCounters(MwServer &server, Pred done)
+{
+    for (int i = 0; i < 10'000; ++i) {
+        if (done(server.counters()))
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+TEST(MwServerTest, LoneRunDoesNotWaitOutTheWindow)
+{
+    // The window only keeps finished units joinable: a run's units
+    // start at once, however long the window.
+    ServerOptions opt;
+    opt.jobs = 4;
+    opt.batch_window_ms = 5'000;
+    LiveServer srv(opt);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const JsonValue v = parseOk(srv.rpc(runRequest("lone")));
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(v.find("status")->text, "ok");
+    EXPECT_LT(elapsed, std::chrono::milliseconds(2'500));
+}
+
+TEST(MwServerTest, FinishedUnitsStayJoinableForTheWindow)
+{
+    // fig8 sent after fig7's response finds fig7's units finished
+    // but inside the window: it computes nothing and still serves
+    // the document a fresh fig8 computation renders.
+    ServerOptions opt;
+    opt.jobs = 4;
+    opt.batch_window_ms = 5'000;
+    LiveServer srv(opt);
+
+    const JsonValue v7 = parseOk(srv.rpc(runRequest("w7")));
+    ASSERT_EQ(v7.find("status")->text, "ok");
+    const std::string r8 = srv.rpc(
+        R"({"cmd":"run","id":"w8","experiment":"fig8","refs":2000})");
+    ASSERT_EQ(parseOk(r8).find("status")->text, "ok") << r8;
+    EXPECT_EQ(resultDocument(r8),
+              missRateFigureJson(
+                  MissRateFigure::DCache,
+                  runMissRateFigure(MissRateFigure::DCache,
+                                    resolveMissRateParams(false, 2000))));
+
+    const std::uint64_t suite = specSuite().size();
+    const ServerCounters c = srv.server().counters();
+    EXPECT_EQ(c.computed, 2u);
+    EXPECT_EQ(c.batched_keys, 2u);
+    EXPECT_EQ(c.batches, 1u) << "fig8 must join fig7's units";
+    EXPECT_EQ(c.points_computed, suite);
+    EXPECT_EQ(c.points_shared, suite);
+}
+
+TEST(MwServerTest, QueuedUnitsAreSharedWithoutAWindow)
+{
+    // Window 0 keeps no finished unit, but queued units are joinable:
+    // with the only worker held by a hanging run, fig7's units wait
+    // in the queue and fig8 joins every one of them.
+    ServerOptions opt;
+    opt.jobs = 1;
+    opt.batch_window_ms = 0;
+    opt.allow_test_faults = true;
+    LiveServer srv(opt);
+
+    // Three SPLASH points, each holding the worker for 400 ms before
+    // its injected failure.
+    std::string hog;
+    std::thread th([&] {
+        hog = srv.rpc(
+            R"({"cmd":"run","id":"hog","experiment":"fig13","quick":true,)"
+            R"("nodes":1,"fault":{"fail_points":1000,"hang_ms":400}})");
+    });
+    // EXPECT, not ASSERT: the threads must be joined either way.
+    EXPECT_TRUE(waitForCounters(srv.server(), [](const ServerCounters &c) {
+        return c.batched_keys == 1;
+    }));
+    std::string r7, r8;
+    std::thread t7([&] { r7 = srv.rpc(runRequest("q7")); });
+    EXPECT_TRUE(waitForCounters(srv.server(), [](const ServerCounters &c) {
+        return c.batched_keys == 2;
+    }));
+    std::thread t8([&] {
+        r8 = srv.rpc(
+            R"({"cmd":"run","id":"q8","experiment":"fig8","refs":2000})");
+    });
+    th.join();
+    t7.join();
+    t8.join();
+
+    EXPECT_EQ(errorCodeOf(hog), "worker_failed");
+    EXPECT_EQ(parseOk(r7).find("status")->text, "ok") << r7;
+    EXPECT_EQ(parseOk(r8).find("status")->text, "ok") << r8;
+    const std::uint64_t suite = specSuite().size();
+    const ServerCounters c = srv.server().counters();
+    EXPECT_EQ(c.batched_keys, 3u);
+    EXPECT_EQ(c.batches, 2u) << "the hog and fig7 start their own units";
+    EXPECT_EQ(c.points_shared, suite)
+        << "fig8 must join all of fig7's queued units";
+    EXPECT_EQ(c.points_computed, 3 + suite);
+}
+
+TEST(MwServerTest, FinishedUnitsExpireAfterTheWindow)
+{
+    // Past the window a finished unit is gone: the same fig8 that
+    // would have joined fig7's units computes afresh.
+    ServerOptions opt;
+    opt.jobs = 4;
+    opt.batch_window_ms = 20;
+    LiveServer srv(opt);
+
+    ASSERT_EQ(parseOk(srv.rpc(runRequest("e7"))).find("status")->text,
+              "ok");
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::string r8 = srv.rpc(
+        R"({"cmd":"run","id":"e8","experiment":"fig8","refs":2000})");
+    ASSERT_EQ(parseOk(r8).find("status")->text, "ok") << r8;
+
+    const std::uint64_t suite = specSuite().size();
+    const ServerCounters c = srv.server().counters();
+    EXPECT_EQ(c.points_shared, 0u);
+    EXPECT_EQ(c.points_computed, 2 * suite);
+    EXPECT_EQ(c.batches, 2u);
+}
+
 TEST(MwServerTest, OversizedFrameMidBatchDoesNotPoisonTheBatch)
 {
-    // A malformed client hitting the server while a batch is open
-    // must get its named error while the batched computation carries
-    // on untouched.
+    // A malformed client hitting the server while a run is in flight
+    // must get its named error while the computation carries on
+    // untouched.
     ServerOptions opt;
     opt.jobs = 4;
     opt.batch_window_ms = 250;
@@ -1053,8 +1196,8 @@ TEST(MwServerTest, OversizedFrameMidBatchDoesNotPoisonTheBatch)
         r7 = srv.rpc(
             R"({"cmd":"run","id":"q7","experiment":"fig7","refs":2000})");
     });
-    // While that run sits in the batch window, storm the server with
-    // an oversized frame on a second connection...
+    // While that run is in flight (or just finished), storm the
+    // server with an oversized frame on a second connection...
     std::string why;
     const int fd = connectUnix(srv.socketPath(), &why);
     ASSERT_GE(fd, 0) << why;
@@ -1064,7 +1207,8 @@ TEST(MwServerTest, OversizedFrameMidBatchDoesNotPoisonTheBatch)
     std::string response;
     ASSERT_EQ(readFrame(fd, response, &why), FrameStatus::Ok) << why;
     EXPECT_EQ(errorCodeOf(response), "oversized");
-    // ...then join the SAME in-flight key over the drained stream.
+    // ...then ask for the SAME key over the drained stream: it joins
+    // the run or hits the cache.
     ASSERT_TRUE(writeFrame(
         fd,
         R"({"cmd":"run","id":"q8","experiment":"fig7","refs":2000})",

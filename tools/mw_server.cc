@@ -18,6 +18,13 @@
  * replays its journal on restart. Request deadlines (deadline_ms)
  * and mw-client --timeout-ms bound how long any client waits.
  *
+ * Batching shares compute units between runs: a point joins a unit
+ * of the same unit key that is queued, running, or finished less
+ * than --batch-window-ms ago (default 0: in-flight units only), so a
+ * fig8 sent right after its fig7 reuses fig7's units. The window is
+ * how long a finished unit stays joinable, not a wait: every run's
+ * new units start at once.
+ *
  * --allow-test-faults enables the "fault" request field used by the
  * torture bench to inject worker failures and hangs; never pass it
  * in real use.
