@@ -215,8 +215,14 @@ MwServer::shutdownInternal()
 ServerCounters
 MwServer::counters() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counters_;
+    ServerCounters c;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        c = counters_;
+    }
+    c.requests = requests_.load();
+    c.cache_hits = cache_hits_.load();
+    return c;
 }
 
 void
@@ -347,10 +353,7 @@ MwServer::serveConnection(std::uint64_t conn_id, int fd)
 std::string
 MwServer::handlePayload(const std::string &payload, bool &close_after)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.requests;
-    }
+    requests_.fetch_add(1);
     Request req;
     ErrorCode code = ErrorCode::Internal;
     std::string detail;
@@ -396,14 +399,31 @@ MwServer::handleRun(const Request &req)
                      std::to_string(req.run.fault_fail_points) + "," +
                      std::to_string(req.run.fault_hang_ms);
 
+    // The probe never holds mu_: the journal may be mid-fsync or
+    // compaction under cache_mu_, and the two locks never nest.
+    std::string hit;
+    const auto probe = [&] {
+        std::lock_guard<std::mutex> cache_lock(cache_mu_);
+        const std::string *p = cache_.lookup(canonical);
+        if (p != nullptr)
+            hit = *p;
+        return p != nullptr;
+    };
+    // A cached result is final, so a hit — most run requests — is
+    // answered without taking mu_, which admission and completion
+    // keep busy.
+    if (!req.run.has_fault && probe()) {
+        cache_hits_.fetch_add(1);
+        return okResponse(req.id, true, hit);
+    }
+
     std::unique_lock<std::mutex> lk(mu_);
     std::shared_ptr<Inflight> entry;
     std::shared_ptr<ComputeJob> job; // set when this request owns the run
-    // Two passes at most: the first may drop mu_ to probe the cache
-    // (the probe must not hold mu_ — the journal may be mid-fsync or
-    // compaction under cache_mu_, and the two locks never nest),
-    // after which stop and in-flight state must be re-checked from
-    // scratch.
+    // Two passes at most: a run that was in flight at the first probe
+    // may have finished since, so a key not in flight is probed once
+    // more (with mu_ dropped), after which stop and in-flight state
+    // must be re-checked from scratch.
     for (bool probed = false; entry == nullptr;) {
         if (stopping_)
             return errorResponse(req.id, ErrorCode::ShuttingDown,
@@ -417,20 +437,11 @@ MwServer::handleRun(const Request &req)
         if (!req.run.has_fault && !probed) {
             probed = true;
             lk.unlock();
-            bool found = false;
-            std::string hit;
-            {
-                std::lock_guard<std::mutex> cache_lock(cache_mu_);
-                if (const std::string *p = cache_.lookup(canonical)) {
-                    hit = *p;
-                    found = true;
-                }
-            }
-            lk.lock();
-            if (found) {
-                ++counters_.cache_hits;
+            if (probe()) {
+                cache_hits_.fetch_add(1);
                 return okResponse(req.id, true, hit);
             }
+            lk.lock();
             continue;
         }
         if (inflight_.size() >= opt_.max_inflight) {
@@ -668,11 +679,10 @@ MwServer::statsJson()
     // Snapshot the two lock domains separately (never nested): the
     // cache may be mid-fsync under cache_mu_, and stats must not
     // drag mu_ into waiting on that.
-    ServerCounters counters;
+    const ServerCounters counters = this->counters();
     std::size_t inflight_count = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        counters = counters_;
         inflight_count = inflight_.size();
     }
     std::size_t cache_entries = 0;

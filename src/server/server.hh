@@ -8,9 +8,11 @@
  * paths:
  *
  *  - Deduplication: concurrent requests for the same canonical run
- *    key share ONE computation. The first requester becomes the
- *    owner and admits the run; later requesters join the in-flight
- *    entry as waiters. A completed result is journaled into the
+ *    key share ONE computation. A cached result is final, so the
+ *    cache is probed first and a hit is answered without the state
+ *    mutex. Otherwise the first requester becomes the owner and
+ *    admits the run; later requesters join the in-flight entry as
+ *    waiters. A completed result is journaled into the
  *    cache BEFORE the in-flight entry is erased, so the key is
  *    always visible in one of the two and a request either joins the
  *    computation or hits the cache — never recomputes. The journal
@@ -66,6 +68,7 @@
 #ifndef MEMWALL_SERVER_SERVER_HH
 #define MEMWALL_SERVER_SERVER_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -226,7 +229,12 @@ class MwServer
     mutable std::mutex cache_mu_;
     ResultCache cache_; // guarded by cache_mu_ once threads exist
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;
+    /** Guarded by mu_, except requests and cache_hits: those are
+     *  counted in requests_ and cache_hits_, so that a cache hit
+     *  never takes mu_, and merged in by counters(). */
     ServerCounters counters_;
+    std::atomic<std::uint64_t> requests_{0};
+    std::atomic<std::uint64_t> cache_hits_{0};
     /** Joinable units by unit key: queued, running, or finished
      *  within the window. Fault-injected units never enter it.
      *  Guarded by mu_. */
