@@ -2,9 +2,12 @@
 # Committed quick-mode goldens under tests/golden/: text and
 # --format json of the ten catalog benches (Figs 7/8, Tables 1/3/4,
 # Figs 13-17) plus two sampled JSON plans in catalog/, the JSON of
-# the sampled-simulation crosscheck and the fault campaign, and the
-# text of the four CC-NUMA ablations (Simple-COMA, fabric contention,
-# INC capacity and INC associativity).
+# the sampled-simulation crosscheck and the fault campaign, the text
+# of the four CC-NUMA ablations (Simple-COMA, fabric contention, INC
+# capacity and INC associativity), and the text of the five
+# GSPN-driven benches outside the catalog (Figures 11 and 12, the
+# Section 5.6 bank sweep, the GSPN/pipeline crosscheck and the
+# scoreboarding ablation).
 #
 #   tests/golden/regen.sh [BENCH_DIR]
 #       rewrite every golden from the binaries in BENCH_DIR
@@ -41,6 +44,11 @@ manifest() {
     # and INC-geometry paths.
     for b in ablation_scoma ablation_contention ablation_inc_capacity \
              ablation_inc_assoc; do
+        echo "${b}_quick.txt $b --quick"
+    done
+    for b in fig11_cache_latency_impact fig12_memory_latency_impact \
+             sec56_bank_sweep validation_cpi_crosscheck \
+             ablation_scoreboard; do
         echo "${b}_quick.txt $b --quick"
     done
 }
