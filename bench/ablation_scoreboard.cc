@@ -40,28 +40,18 @@ main(int argc, char **argv)
     for (const char *name :
          {"099.go", "126.gcc", "102.swim", "101.tomcatv"}) {
         const SpecWorkload &w = findWorkload(name);
-        const HierarchyRates rates = measureIntegratedRates(
-            w, /*victim=*/true, params.missrate);
-        ProcessorModelParams model;
-        model.p_load = w.load_frac;
-        model.p_store = w.store_frac;
-        model.icache_hit = rates.icache_hit;
-        model.load_hit = rates.load_hit;
-        model.store_hit = rates.store_hit;
-        model.has_l2 = false;
-
-        model.scoreboarding = true;
-        const double with_sb =
-            w.base_cpi +
-            estimateCpi(model, params.gspn_instructions,
-                        params.seed)
-                .memory_cpi;
+        ProcessorModelParams model = gspnInputs(
+            w, measureIntegratedRates(w, /*victim=*/true,
+                                      params.missrate));
+        const auto total_cpi = [&] {
+            return w.base_cpi +
+                   estimateCpi(model, params.gspn_instructions,
+                               params.seed)
+                       .memory_cpi;
+        };
+        const double with_sb = total_cpi();
         model.scoreboarding = false;
-        const double without_sb =
-            w.base_cpi +
-            estimateCpi(model, params.gspn_instructions,
-                        params.seed)
-                .memory_cpi;
+        const double without_sb = total_cpi();
         table.addRow({w.name, TextTable::num(with_sb, 3),
                       TextTable::num(without_sb, 3),
                       TextTable::num(100.0 * (without_sb - with_sb) /

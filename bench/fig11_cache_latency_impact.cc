@@ -12,7 +12,7 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -24,14 +24,9 @@ main(int argc, char **argv)
                       "(conventional CPU)",
                       opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
+    SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
     params.banks = 2;  // dual-banked conventional main memory
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
 
     const double l2_lats[] = {4.0, 6.0, 12.0};
     const double mem_ns[] = {50, 100, 150, 200, 250, 300, 400};
@@ -42,6 +37,9 @@ main(int argc, char **argv)
 
     for (const char *name : {"141.apsi", "126.gcc"}) {
         const SpecWorkload &w = findWorkload(name);
+        // One measurement; every latency point prices the same rates.
+        const HierarchyRates rates = measureHierarchyRates(
+            w, HierarchyConfig::reference(), params.missrate);
         for (double l2 : l2_lats) {
             const std::string series =
                 std::string(name) + " L2=" +
@@ -49,8 +47,8 @@ main(int argc, char **argv)
             for (double ns : mem_ns) {
                 const double mem_cycles =
                     static_cast<double>(clock.nsToCycles(ns));
-                const SpecEstimate est =
-                    estimateReference(w, l2, mem_cycles, params);
+                const SpecEstimate est = estimateReference(
+                    w, rates, l2, mem_cycles, params);
                 chart.addPoint(series, ns, est.cpi.total());
             }
         }

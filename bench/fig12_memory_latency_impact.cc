@@ -10,7 +10,7 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -21,13 +21,8 @@ main(int argc, char **argv)
     benchutil::banner("Figure 12 - DRAM latency impact (integrated)",
                       opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
+    const SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
 
     const double access_ns[] = {10, 20, 30, 40, 50, 60, 70};
     const ClockParams clock;
@@ -38,12 +33,14 @@ main(int argc, char **argv)
 
     for (const char *name : {"141.apsi", "126.gcc"}) {
         const SpecWorkload &w = findWorkload(name);
+        // One measurement; every DRAM point prices the same rates.
+        const HierarchyRates rates = measureIntegratedRates(
+            w, /*victim_cache=*/true, params.missrate);
         for (double ns : access_ns) {
             SpecEvalParams p = params;
             p.bank_access =
                 static_cast<double>(clock.nsToCycles(ns));
-            const SpecEstimate est =
-                estimateIntegrated(w, /*victim_cache=*/true, p);
+            const SpecEstimate est = estimateIntegrated(w, rates, p);
             chart.addPoint(name, ns, est.cpi.total());
             if (ns == 30) {
                 std::cout << name << " @30ns: memory CPI impact = "

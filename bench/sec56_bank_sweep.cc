@@ -12,7 +12,7 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "harness/parallel_sweep.hh"
-#include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -22,33 +22,28 @@ main(int argc, char **argv)
     auto opt = benchutil::parse(argc, argv);
     benchutil::banner("Section 5.6 - memory bank sweep", opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
+    const SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
 
     TextTable table("Integrated device: CPI and bank utilisation vs "
                     "bank count");
     table.setHeader({"benchmark", "banks", "total CPI",
                      "bank busy %"});
-    // (workload x bank count) grid: every cell is an independent
-    // sweep point; the rule after each workload group rides the
-    // in-order commit of that group's last cell.
+    // (workload x bank count) grid: every cell prices its workload's
+    // hit ratios as an independent sweep point; the rule after each
+    // group rides the in-order commit of the group's last cell.
     ParallelSweep<SpecEstimate> sweep(opt.jobs, opt.seed);
     for (const char *name : {"126.gcc", "102.swim", "099.go"}) {
         const SpecWorkload &w = findWorkload(name);
+        const HierarchyRates rates = measureIntegratedRates(
+            w, /*victim_cache=*/true, params.missrate);
         for (unsigned banks : {2u, 4u, 8u, 16u}) {
             sweep.submit(
-                [&w, &params, banks](const PointContext &ctx) {
+                [&w, rates, &params, banks](const PointContext &ctx) {
                     SpecEvalParams p = params;
                     p.banks = banks;
                     p.seed = ctx.seed;
-                    return estimateIntegrated(w,
-                                              /*victim_cache=*/true,
-                                              p);
+                    return estimateIntegrated(w, rates, p);
                 },
                 [&table, &w, banks](const PointContext &,
                                     SpecEstimate est) {
@@ -70,10 +65,12 @@ main(int argc, char **argv)
     TextTable conv("");
     conv.setHeader({"banks", "total CPI"});
     const SpecWorkload &gcc = findWorkload("126.gcc");
+    const HierarchyRates gcc_rates = measureHierarchyRates(
+        gcc, HierarchyConfig::reference(), params.missrate);
     ParallelSweep<SpecEstimate> conv_sweep(opt.jobs, opt.seed + 1);
     for (unsigned banks : {2u, 4u, 8u}) {
         conv_sweep.submit(
-            [&gcc, &params, banks](const PointContext &ctx) {
+            [&gcc, &gcc_rates, &params, banks](const PointContext &ctx) {
                 SpecEvalParams p = params;
                 p.banks = banks;
                 p.seed = ctx.seed;
@@ -81,7 +78,7 @@ main(int argc, char **argv)
                 // Figure 11).
                 const ClockParams clock;
                 return estimateReference(
-                    gcc, 6.0,
+                    gcc, gcc_rates, 6.0,
                     static_cast<double>(clock.nsToCycles(150)), p);
             },
             [&conv, banks](const PointContext &, SpecEstimate est) {

@@ -17,7 +17,7 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "core/pim_device.hh"
-#include "workloads/spec_eval.hh"
+#include "workloads/spec_tables.hh"
 
 using namespace memwall;
 
@@ -28,15 +28,10 @@ main(int argc, char **argv)
     benchutil::banner("Validation - GSPN vs execution-driven CPI",
                       opt);
 
-    SpecEvalParams params;
-    params.seed = opt.seed;
+    const SpecEvalParams params =
+        resolveSpecEvalParams(opt.quick, opt.refs, opt.seed);
     const std::uint64_t refs =
         opt.refs ? opt.refs : (opt.quick ? 400'000 : 3'000'000);
-    if (opt.quick) {
-        params.missrate.measured_refs = 400'000;
-        params.missrate.warmup_refs = 100'000;
-        params.gspn_instructions = 30'000;
-    }
 
     TextTable table("Memory CPI of the integrated device, two "
                     "independent models");
@@ -49,9 +44,10 @@ main(int argc, char **argv)
           "102.swim", "101.tomcatv", "107.mgrid", "145.fpppp"}) {
         const SpecWorkload &w = findWorkload(name);
 
-        // Method 1: measured hit ratios -> GSPN Monte-Carlo.
+        // Method 1: measured hit ratios -> GSPN Monte-Carlo, as for
+        // the benchmark's Table 4 row.
         const SpecEstimate gspn =
-            estimateIntegrated(w, /*victim=*/true, params);
+            runSpecTablePoint(w, /*victim_cache=*/true, params);
 
         // Method 2: the stream drives the pipeline + device. Warm
         // the caches through the SAME pipeline (a fresh pipeline

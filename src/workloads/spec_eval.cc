@@ -2,30 +2,22 @@
 
 namespace memwall {
 
+namespace {
+
+/** Run the GSPN on @p model with the banks of @p params and combine
+ *  the memory CPI with the base CPI. */
 SpecEstimate
-estimateIntegrated(const SpecWorkload &workload, bool victim_cache,
-                   const SpecEvalParams &params)
+price(const SpecWorkload &workload, const HierarchyRates &rates,
+      ProcessorModelParams model, const SpecEvalParams &params)
 {
-    SpecEstimate est;
-    est.name = workload.name;
-    est.rates = measureIntegratedRates(workload, victim_cache,
-                                       params.missrate);
-
-    ProcessorModelParams model;
-    model.p_load = workload.load_frac;
-    model.p_store = workload.store_frac;
-    model.icache_hit = est.rates.icache_hit;
-    model.load_hit = est.rates.load_hit;
-    model.store_hit = est.rates.store_hit;
-    model.has_l2 = false;
     model.banks = params.banks;
-    model.bank_access = params.bank_access;
     model.bank_precharge = params.bank_precharge;
-    model.scoreboarding = true;
-
     const CpiEstimate mc =
         estimateCpi(model, params.gspn_instructions, params.seed);
 
+    SpecEstimate est;
+    est.name = workload.name;
+    est.rates = rates;
     est.cpi.base = workload.base_cpi;
     est.cpi.memory = mc.memory_cpi;
     est.bank_utilisation = mc.bank_utilisation;
@@ -33,59 +25,47 @@ estimateIntegrated(const SpecWorkload &workload, bool victim_cache,
         ? workload.calibration().ratio(est.cpi.total())
         : 0.0;
     return est;
+}
+
+} // namespace
+
+ProcessorModelParams
+gspnInputs(const SpecWorkload &workload, const HierarchyRates &rates)
+{
+    ProcessorModelParams model;
+    model.p_load = workload.load_frac;
+    model.p_store = workload.store_frac;
+    model.icache_hit = rates.icache_hit;
+    model.icache_l2_hit = rates.icache_l2_hit;
+    model.load_hit = rates.load_hit;
+    model.load_l2_hit = rates.load_l2_hit;
+    model.store_hit = rates.store_hit;
+    model.store_l2_hit = rates.store_l2_hit;
+    return model;
+}
+
+SpecEstimate
+estimateIntegrated(const SpecWorkload &workload,
+                   const HierarchyRates &rates,
+                   const SpecEvalParams &params)
+{
+    ProcessorModelParams model = gspnInputs(workload, rates);
+    model.bank_access = params.bank_access;
+    return price(workload, rates, model, params);
 }
 
 SpecEstimate
 estimateReference(const SpecWorkload &workload,
+                  const HierarchyRates &rates,
                   double l2_latency_cycles,
                   double memory_latency_cycles,
                   const SpecEvalParams &params)
 {
-    SpecEstimate est;
-    est.name = workload.name;
-    est.rates = measureHierarchyRates(
-        workload, HierarchyConfig::reference(), params.missrate);
-
-    ProcessorModelParams model;
-    model.p_load = workload.load_frac;
-    model.p_store = workload.store_frac;
-    model.icache_hit = est.rates.icache_hit;
-    model.icache_l2_hit = est.rates.icache_l2_hit;
-    model.load_hit = est.rates.load_hit;
-    model.load_l2_hit = est.rates.load_l2_hit;
-    model.store_hit = est.rates.store_hit;
-    model.store_l2_hit = est.rates.store_l2_hit;
+    ProcessorModelParams model = gspnInputs(workload, rates);
     model.has_l2 = true;
     model.l2_latency = l2_latency_cycles;
-    // The conventional reference machine has a dual-banked main
-    // memory by default (Section 5.5); Section 5.6 sweeps 2..8.
-    model.banks = params.banks ? params.banks : 2;
     model.bank_access = memory_latency_cycles;
-    model.bank_precharge = params.bank_precharge;
-    model.scoreboarding = true;
-
-    const CpiEstimate mc =
-        estimateCpi(model, params.gspn_instructions, params.seed);
-
-    est.cpi.base = workload.base_cpi;
-    est.cpi.memory = mc.memory_cpi;
-    est.bank_utilisation = mc.bank_utilisation;
-    est.spec_ratio = workload.in_spec_tables
-        ? workload.calibration().ratio(est.cpi.total())
-        : 0.0;
-    return est;
-}
-
-std::vector<SpecEstimate>
-estimateSuite(bool victim_cache, const SpecEvalParams &params)
-{
-    std::vector<SpecEstimate> rows;
-    for (const auto &w : specSuite()) {
-        if (!w.in_spec_tables)
-            continue;
-        rows.push_back(estimateIntegrated(w, victim_cache, params));
-    }
-    return rows;
+    return price(workload, rates, model, params);
 }
 
 } // namespace memwall

@@ -194,7 +194,10 @@ SpecEstimate
 runSpecTablePoint(const SpecWorkload &workload, bool victim_cache,
                   const SpecEvalParams &params)
 {
-    return estimateIntegrated(workload, victim_cache, params);
+    return estimateIntegrated(
+        workload,
+        measureIntegratedRates(workload, victim_cache, params.missrate),
+        params);
 }
 
 const char *

@@ -92,7 +92,8 @@ std::vector<const SpecWorkload *> specTableWorkloads();
 std::uint64_t specTablePointSeed(std::uint64_t seed,
                                  std::size_t index);
 
-/** Execute one row: @p params must already carry the point seed. */
+/** Execute one row — measure the integrated device's hit ratios,
+ *  then price them: @p params must already carry the point seed. */
 SpecEstimate runSpecTablePoint(const SpecWorkload &workload,
                                bool victim_cache,
                                const SpecEvalParams &params);

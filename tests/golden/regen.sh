@@ -51,6 +51,9 @@ manifest() {
              ablation_scoreboard; do
         echo "${b}_quick.txt $b --quick"
     done
+    # --refs sets the measured window of the SPEC/GSPN benches.
+    echo "fig12_memory_latency_impact_refs.txt" \
+         "fig12_memory_latency_impact --quick --refs 100000"
 }
 
 if [ "${1:-}" = "--check" ]; then
