@@ -33,9 +33,12 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "common/parse_unsigned.hh"
+#include "harness/thread_pool.hh"
 
 namespace memwall::benchutil {
 
@@ -43,8 +46,7 @@ namespace memwall::benchutil {
 inline unsigned
 defaultJobs()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return ThreadPool::defaultWorkers();
 }
 
 struct Options
@@ -96,22 +98,21 @@ usageError(const char *prog,
 }
 
 /**
- * Parse the whole of @p text as an unsigned integer (base prefixes
- * honoured); reject empty, trailing junk and overflow with an error
- * naming @p flag rather than silently falling back to a default.
+ * Parse @p text, the value of @p flag, whole as parseUnsigned() does
+ * into a @p T; a sign, junk or a value @p T cannot hold is an error
+ * naming the flag rather than a silent default or wrap-around.
  */
-inline std::uint64_t
-parseU64Flag(const char *text, const char *flag, const char *prog,
-             std::initializer_list<const char *> extra_flags)
+template <typename T = std::uint64_t>
+T
+parseUnsignedFlag(const char *text, const char *flag, const char *prog,
+                  std::initializer_list<const char *> extra_flags)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' || errno == ERANGE)
+    const std::optional<T> value = parseUnsigned<T>(text);
+    if (!value)
         usageError(prog, extra_flags,
                    std::string("invalid value '") + text + "' for " +
                        flag);
-    return value;
+    return *value;
 }
 
 inline Options
@@ -134,13 +135,13 @@ parse(int argc, char **argv,
             continue;
         }
         if (std::strcmp(argv[i], "--refs") == 0) {
-            opt.refs = parseU64Flag(value_of(i), "--refs", prog,
-                                    extra_flags);
+            opt.refs = parseUnsignedFlag(value_of(i), "--refs", prog,
+                                         extra_flags);
             continue;
         }
         if (std::strcmp(argv[i], "--seed") == 0) {
-            opt.seed = parseU64Flag(value_of(i), "--seed", prog,
-                                    extra_flags);
+            opt.seed = parseUnsignedFlag(value_of(i), "--seed", prog,
+                                         extra_flags);
             continue;
         }
         if (std::strcmp(argv[i], "--format") == 0) {
@@ -152,12 +153,10 @@ parse(int argc, char **argv,
             continue;
         }
         if (std::strcmp(argv[i], "--jobs") == 0) {
-            const std::uint64_t jobs =
-                parseU64Flag(value_of(i), "--jobs", prog,
-                             extra_flags);
+            const unsigned jobs = parseUnsignedFlag<unsigned>(
+                value_of(i), "--jobs", prog, extra_flags);
             // 0 = auto-detect, same as omitting the flag.
-            opt.jobs = jobs ? static_cast<unsigned>(jobs)
-                            : defaultJobs();
+            opt.jobs = jobs ? jobs : defaultJobs();
             continue;
         }
         bool matched = false;
@@ -196,7 +195,7 @@ splitList(const std::string &list)
 
 /**
  * Parse @p list, the value of @p flag, as comma-separated unsigned
- * integers, each item whole as parseU64Flag() does.
+ * integers, each item whole as parseUnsignedFlag() does.
  */
 inline std::vector<std::uint64_t>
 parseU64List(const std::string &list, const char *flag,
@@ -206,7 +205,7 @@ parseU64List(const std::string &list, const char *flag,
     std::vector<std::uint64_t> out;
     for (const std::string &item : splitList(list))
         out.push_back(
-            parseU64Flag(item.c_str(), flag, prog, extra_flags));
+            parseUnsignedFlag(item.c_str(), flag, prog, extra_flags));
     return out;
 }
 

@@ -71,7 +71,7 @@ runCatalogBench(server::Experiment exp, const std::string &title,
     }
     const std::string nodes = opt.extraOr("--nodes", "");
     if (!nodes.empty()) {
-        req.nodes = parseU64Flag(nodes.c_str(), "--nodes", prog, flags);
+        req.nodes = parseUnsignedFlag(nodes.c_str(), "--nodes", prog, flags);
         if (req.nodes == 0 || req.nodes > splash_max_nodes)
             usageError(prog, flags,
                        "--nodes must be between 1 and " +

@@ -721,7 +721,7 @@ main(int argc, char **argv)
 {
     const auto opt = benchutil::parse(argc, argv, extra_flags);
     const std::uint64_t programs = opt.extra.contains("--programs")
-        ? benchutil::parseU64Flag(
+        ? benchutil::parseUnsignedFlag(
               opt.extraOr("--programs", "").c_str(), "--programs",
               argv[0], extra_flags)
         : 1000;

@@ -22,6 +22,7 @@
  * submission order, so output is byte-identical at any job count.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -222,16 +223,29 @@ constexpr ProtocolMutation kMutations[] = {
 int
 main(int argc, char **argv)
 {
-    auto opt = parse(argc, argv, {"--mutate", "--seeds"});
+    const auto flags = {"--mutate", "--seeds"};
+    auto opt = parse(argc, argv, flags);
+    const std::string seeds = opt.extraOr("--seeds", "4");
+    const std::uint64_t nseeds =
+        parseUnsignedFlag(seeds.c_str(), "--seeds", argv[0], flags);
+    const std::string mutate_only = opt.extraOr("--mutate", "");
+    const auto selected = [&](ProtocolMutation m) {
+        return mutate_only.empty() || mutate_only == "all" ||
+               mutate_only == protocolMutationName(m);
+    };
+    // No seeds or no mutation would pass having checked nothing.
+    if (nseeds == 0)
+        usageError(argv[0], flags,
+                   "invalid value '" + seeds + "' for --seeds");
+    if (std::none_of(std::begin(kMutations), std::end(kMutations),
+                     selected))
+        usageError(argv[0], flags,
+                   "invalid value '" + mutate_only + "' for --mutate");
     banner("protocol torture tester (shadow checker + mutations)",
            opt);
 
     const std::uint64_t accesses =
         opt.refs ? opt.refs : (opt.quick ? 2'000 : 20'000);
-    const std::uint64_t nseeds =
-        std::strtoull(opt.extraOr("--seeds", "4").c_str(), nullptr,
-                      0);
-    const std::string mutate_only = opt.extraOr("--mutate", "");
 
     bool all_ok = true;
 
@@ -300,8 +314,7 @@ main(int argc, char **argv)
                 "arch", "mutated", "violations", "dump", "result");
     bool mutations_ok = true;
     for (ProtocolMutation mutation : kMutations) {
-        if (!mutate_only.empty() && mutate_only != "all" &&
-            mutate_only != protocolMutationName(mutation))
+        if (!selected(mutation))
             continue;
         for (const ArchSetting &arch : kArchs) {
             const MutationResult res = runMutation(

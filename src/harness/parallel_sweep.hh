@@ -20,20 +20,23 @@
  *
  * With jobs == 1 no threads are created and every point runs
  * inline at submit() — the serial reference behaviour the parallel
- * run must reproduce exactly.
+ * run must reproduce exactly, failures included: a point's exception
+ * reaches the caller when the in-order commit reaches the point.
  */
 
 #ifndef MEMWALL_HARNESS_PARALLEL_SWEEP_HH
 #define MEMWALL_HARNESS_PARALLEL_SWEEP_HH
 
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <functional>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <utility>
-#include <vector>
 
+#include "common/logging.hh"
 #include "harness/thread_pool.hh"
 
 namespace memwall {
@@ -98,7 +101,19 @@ class ParallelSweep
             pool_ = std::make_unique<ThreadPool>(jobs);
     }
 
-    ~ParallelSweep() { finish(); }
+    /** Commits what is left; a failure no finish() reported is only
+     *  warned about, as a destructor must not throw. pool_'s
+     *  destructor then waits for every running point. */
+    ~ParallelSweep()
+    {
+        try {
+            finish();
+        } catch (const std::exception &e) {
+            MW_WARN("sweep point failed unreported: ", e.what());
+        } catch (...) {
+            MW_WARN("sweep point failed unreported: non-std exception");
+        }
+    }
 
     ParallelSweep(const ParallelSweep &) = delete;
     ParallelSweep &operator=(const ParallelSweep &) = delete;
@@ -122,21 +137,12 @@ class ParallelSweep
             return;
         }
 
-        auto slot = std::make_unique<Slot>();
-        slot->ctx = ctx;
-        slot->commit = std::move(commit);
-        Slot *raw = slot.get();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            slots_.push_back(std::move(slot));
-        }
-        pool_->submit([this, raw, fn = std::move(fn)] {
-            Result r = fn(raw->ctx);
-            std::lock_guard<std::mutex> lock(mu_);
-            raw->result = std::move(r);
-            raw->done = true;
-            done_cv_.notify_all();
-        });
+        // The task owns the point and its result slot, so it never
+        // touches the sweep; a throw is stored in the future.
+        auto task = std::make_shared<std::packaged_task<Result()>>(
+            [fn = std::move(fn), ctx] { return fn(ctx); });
+        pending_.push_back({ctx, std::move(commit), task->get_future()});
+        pool_->submit([task] { (*task)(); });
         drainReady(/*wait=*/false);
     }
 
@@ -158,53 +164,46 @@ class ParallelSweep
     }
 
   private:
-    struct Slot
+    struct Pending
     {
         PointContext ctx;
         CommitFn commit;
-        Result result{};
-        bool done = false;  // guarded by mu_
+        std::future<Result> result;
     };
 
     /**
      * Commit the contiguous prefix of completed points; with
-     * @p wait, block until everything submitted has committed.
+     * @p wait, block until everything submitted has committed. A
+     * failed point's exception is rethrown here, and the points after
+     * it are dropped uncommitted.
      */
     void
     drainReady(bool wait)
     {
-        for (;;) {
-            Slot *slot = nullptr;
-            {
-                std::unique_lock<std::mutex> lock(mu_);
-                const std::size_t i = committed_;
-                if (i >= slots_.size())
-                    return;
-                if (!slots_[i]->done) {
-                    if (!wait)
-                        return;
-                    done_cv_.wait(
-                        lock, [&] { return slots_[i]->done; });
-                }
-                slot = slots_[i].get();
+        while (!pending_.empty()) {
+            if (!wait && pending_.front().result.wait_for(
+                             std::chrono::seconds(0)) !=
+                             std::future_status::ready)
+                return;
+            Pending point = std::move(pending_.front());
+            pending_.pop_front();
+            Result result{};
+            try {
+                result = point.result.get();
+            } catch (...) {
+                pending_.clear();
+                throw;
             }
-            // Commit outside the lock: commit functions may be slow
-            // (formatting) and must never deadlock against workers
-            // finishing later points.
-            slot->commit(slot->ctx, std::move(slot->result));
-            std::lock_guard<std::mutex> lock(mu_);
+            point.commit(point.ctx, std::move(result));
             ++committed_;
-            slots_[committed_ - 1].reset();
         }
     }
 
     std::uint64_t base_seed_;
     std::size_t next_index_ = 0;
     std::size_t committed_ = 0;
+    std::deque<Pending> pending_;
     std::unique_ptr<ThreadPool> pool_;
-    std::mutex mu_;
-    std::condition_variable done_cv_;
-    std::vector<std::unique_ptr<Slot>> slots_;
 };
 
 } // namespace memwall

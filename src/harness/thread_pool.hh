@@ -27,7 +27,7 @@ namespace memwall {
 /**
  * Fixed-size pool of worker threads sharing one FIFO task queue.
  * Fire-and-forget: completion tracking belongs to the caller
- * (ParallelSweep keeps per-point done flags).
+ * (ParallelSweep keeps a future per point).
  */
 class ThreadPool
 {

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests of the bench option-parsing helpers: --jobs/--refs/--seed/
- * --quick, registered extra flags, the comma-list parsers, and the
- * catalog driver's per-experiment flag rules.
+ * Tests of the bench option-parsing helpers: the strict unsigned
+ * parser, --jobs/--refs/--seed/--quick, registered extra flags, the
+ * comma-list parsers, and the catalog driver's per-experiment flag
+ * rules.
  */
 
 #include <gtest/gtest.h>
@@ -139,6 +140,41 @@ TEST(BenchUtilDeathTest, NonNumericValueRejected)
     EXPECT_EXIT(benchutil::parse(a.argc(), a.argv()),
                 testing::ExitedWithCode(2),
                 "invalid value 'abc' for --jobs");
+}
+
+TEST(ParseUnsigned, WholeUnsignedTextThatFitsOnly)
+{
+    EXPECT_EQ(parseUnsigned("0"), 0u);
+    EXPECT_EQ(parseUnsigned("0x10"), 16u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615"),
+              18446744073709551615u);
+    EXPECT_EQ(parseUnsigned<unsigned>("4294967295"), 4294967295u);
+    for (const char *bad : {"", "-1", "+5", " 5", "5 ", "12x", "0x",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseUnsigned(bad)) << "'" << bad << "'";
+    EXPECT_FALSE(parseUnsigned<unsigned>("4294967296"));
+    EXPECT_FALSE(parseUnsigned(nullptr));
+}
+
+TEST(BenchUtilDeathTest, SignedOrOversizedValueRejected)
+{
+    // strtoull alone read "-1" as 2^64-1, and --jobs narrowed
+    // 4294967296 to 0, which silently meant the default.
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+    };
+    for (const Case c : {Case{"--seed", "-1"}, Case{"--jobs", "-1"},
+                         Case{"--jobs", "4294967296"},
+                         Case{"--refs", " 5"}}) {
+        Argv a{"bench", c.flag, c.value};
+        EXPECT_EXIT(benchutil::parse(a.argc(), a.argv()),
+                    testing::ExitedWithCode(2),
+                    std::string("invalid value '") + c.value +
+                        "' for " + c.flag)
+            << c.flag << " " << c.value;
+    }
 }
 
 TEST(BenchUtilDeathTest, TrailingJunkInValueRejected)

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -327,6 +328,55 @@ TEST(ParallelSweep, ManyMorePointsThanWorkers)
     ASSERT_EQ(results.size(), points);
     for (std::size_t i = 0; i < points; ++i)
         EXPECT_EQ(results[i], i * 3);
+}
+
+TEST(ParallelSweep, ThrowingPointRethrowsAtItsCommit)
+{
+    // A point that throws must reach the caller, after every earlier
+    // point has committed, at any job count: on a worker it used to
+    // leave its slot unfinished and finish() waited forever.
+    for (unsigned jobs : {1u, 4u}) {
+        std::vector<int> committed;
+        const auto run = [&] {
+            ParallelSweep<int> sweep(jobs, /*base_seed=*/3);
+            for (int p = 0; p < 8; ++p)
+                sweep.submit(
+                    [p](const PointContext &) {
+                        if (p == 5)
+                            throw std::runtime_error("point 5");
+                        return p;
+                    },
+                    [&committed](const PointContext &, int v) {
+                        committed.push_back(v);
+                    });
+            sweep.finish();
+        };
+        EXPECT_THROW(run(), std::runtime_error) << "jobs " << jobs;
+        EXPECT_EQ(committed, (std::vector<int>{0, 1, 2, 3, 4}))
+            << "jobs " << jobs;
+    }
+}
+
+TEST(ParallelSweep, DestructorWarnsOfAnUnreachedFailure)
+{
+    // Without finish() the destructor meets the failure itself: it
+    // must wait for the point, warn, and not throw.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    testing::internal::CaptureStderr();
+    {
+        ParallelSweep<int> sweep(/*jobs=*/2, /*base_seed=*/3);
+        sweep.submit(
+            [released](const PointContext &) -> int {
+                released.wait();
+                throw std::runtime_error("late");
+            },
+            [](const PointContext &, int) { ADD_FAILURE(); });
+        release.set_value();
+    }
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "sweep point failed unreported: late"),
+              std::string::npos);
 }
 
 } // namespace

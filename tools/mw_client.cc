@@ -39,6 +39,7 @@
 #include <unistd.h>
 
 #include "common/json_text.hh"
+#include "common/parse_unsigned.hh"
 #include "server/json.hh"
 #include "server/wire.hh"
 
@@ -70,15 +71,11 @@ usage(const char *why)
 std::uint64_t
 numberArg(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 0);
-    if (errno != 0 || end == value || *end != '\0') {
-        const std::string why = std::string("invalid value '") +
-                                value + "' for " + flag;
-        usage(why.c_str());
-    }
-    return v;
+    const std::optional<std::uint64_t> v = parseUnsigned(value);
+    if (!v)
+        usage((std::string("invalid value '") + value + "' for " + flag)
+                  .c_str());
+    return *v;
 }
 
 } // namespace

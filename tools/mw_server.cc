@@ -38,6 +38,7 @@
 #include <csignal>
 
 #include "common/logging.hh"
+#include "common/parse_unsigned.hh"
 #include "server/server.hh"
 
 using namespace memwall;
@@ -67,18 +68,15 @@ usage(const char *why)
     std::exit(2);
 }
 
-std::uint64_t
+template <typename T = std::uint64_t>
+T
 numberArg(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 0);
-    if (errno != 0 || end == value || *end != '\0') {
-        std::string why = std::string("invalid value '") + value +
-                          "' for " + flag;
-        usage(why.c_str());
-    }
-    return v;
+    const std::optional<T> v = parseUnsigned<T>(value);
+    if (!v)
+        usage((std::string("invalid value '") + value + "' for " + flag)
+                  .c_str());
+    return *v;
 }
 
 } // namespace
@@ -102,8 +100,7 @@ main(int argc, char **argv)
         else if (arg == "--cache-dir")
             opt.cache_dir = value();
         else if (arg == "--jobs")
-            opt.jobs =
-                static_cast<unsigned>(numberArg("--jobs", value()));
+            opt.jobs = numberArg<unsigned>("--jobs", value());
         else if (arg == "--cache-cap-bytes")
             opt.cache_cap_bytes =
                 numberArg("--cache-cap-bytes", value());

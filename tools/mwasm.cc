@@ -14,7 +14,6 @@
  *   --regs         dump registers at exit
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/parse_unsigned.hh"
 #include "core/memwall.hh"
 
 using namespace memwall;
@@ -38,19 +38,6 @@ usageError(const std::string &why)
                  "[--regs]\n",
                  why.c_str());
     std::exit(2);
-}
-
-/** A whole-string unsigned number (decimal, 0x hex or 0 octal). */
-std::uint64_t
-parseCount(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0' || text[0] == '-')
-        usageError(std::string("invalid value '") + text + "' for " +
-                   flag);
-    return v;
 }
 
 std::string
@@ -123,9 +110,14 @@ cmdRun(int argc, char **argv)
                 usageError(std::string("missing value for ") + arg);
             return argv[++i];
         };
-        if (std::strcmp(arg, "--max") == 0)
-            max_instr = parseCount(arg, value());
-        else if (std::strcmp(arg, "--trace") == 0)
+        if (std::strcmp(arg, "--max") == 0) {
+            const char *text = value();
+            const auto max = parseUnsigned(text);
+            if (!max)
+                usageError(std::string("invalid value '") + text +
+                           "' for --max");
+            max_instr = *max;
+        } else if (std::strcmp(arg, "--trace") == 0)
             trace_path = value();
         else if (std::strcmp(arg, "--pim") == 0)
             pim = true;

@@ -10,11 +10,13 @@
  *   ARCH  : integrated (default) | reference | scoma
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/parse_unsigned.hh"
 #include "core/memwall.hh"
 
 using namespace memwall;
@@ -34,13 +36,25 @@ main(int argc, char **argv)
     params.nprocs = 4;
     params.scale = 0.2;
     params.machine.arch = NodeArch::Integrated;
+    // Usage error for the value argv[i] of flag argv[i - 1].
+    const auto invalid = [argv](int i) {
+        std::fprintf(stderr, "mwmp: invalid value '%s' for %s\n",
+                     argv[i], argv[i - 1]);
+        return 2;
+    };
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--cpus") == 0 && i + 1 < argc) {
-            params.nprocs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            const auto cpus = parseUnsigned<unsigned>(argv[++i]);
+            if (!cpus || *cpus == 0 || *cpus > DirEntry::max_nodes)
+                return invalid(i);
+            params.nprocs = *cpus;
         } else if (std::strcmp(argv[i], "--scale") == 0 &&
                    i + 1 < argc) {
-            params.scale = std::strtod(argv[++i], nullptr);
+            char *end = nullptr;
+            params.scale = std::strtod(argv[++i], &end);
+            if (end == argv[i] || *end != '\0' ||
+                !std::isfinite(params.scale) || params.scale <= 0.0)
+                return invalid(i);
         } else if (std::strcmp(argv[i], "--arch") == 0 &&
                    i + 1 < argc) {
             const std::string arch = argv[++i];

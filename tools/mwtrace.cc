@@ -16,6 +16,7 @@
 #include <cstring>
 #include <map>
 
+#include "common/parse_unsigned.hh"
 #include "core/memwall.hh"
 
 using namespace memwall;
@@ -65,12 +66,16 @@ int
 cmdGen(const char *workload, const char *count_str,
        const char *out_path)
 {
-    const std::uint64_t count =
-        std::strtoull(count_str, nullptr, 0);
+    const std::optional<std::uint64_t> count = parseUnsigned(count_str);
+    if (!count) {
+        std::fprintf(stderr, "mwtrace: invalid value '%s' for N\n",
+                     count_str);
+        return 2;
+    }
     const SpecWorkload &w = findWorkload(workload);
     SyntheticWorkload source(w.proxy);
     TraceBuffer trace;
-    source.generate(count, trace.sink());
+    source.generate(*count, trace.sink());
     if (!trace.save(out_path)) {
         std::fprintf(stderr, "mwtrace: cannot write '%s'\n",
                      out_path);
