@@ -7,7 +7,7 @@
 # capacity and INC associativity), and the text of the five
 # GSPN-driven benches outside the catalog (Figures 11 and 12, the
 # Section 5.6 bank sweep, the GSPN/pipeline crosscheck and the
-# scoreboarding ablation).
+# scoreboarding ablation), Figure 12's also at --refs 100000.
 #
 #   tests/golden/regen.sh [BENCH_DIR]
 #       rewrite every golden from the binaries in BENCH_DIR
@@ -41,14 +41,12 @@ manifest() {
     echo "fault_campaign_quick.json validation_fault_campaign --quick" \
          "--format json"
     # The only end-to-end outputs of the Simple-COMA, contended-fabric
-    # and INC-geometry paths.
+    # and INC-geometry paths, and the GSPN-driven benches outside the
+    # catalog.
     for b in ablation_scoma ablation_contention ablation_inc_capacity \
-             ablation_inc_assoc; do
-        echo "${b}_quick.txt $b --quick"
-    done
-    for b in fig11_cache_latency_impact fig12_memory_latency_impact \
-             sec56_bank_sweep validation_cpi_crosscheck \
-             ablation_scoreboard; do
+             ablation_inc_assoc fig11_cache_latency_impact \
+             fig12_memory_latency_impact sec56_bank_sweep \
+             validation_cpi_crosscheck ablation_scoreboard; do
         echo "${b}_quick.txt $b --quick"
     done
     # --refs sets the measured window of the SPEC/GSPN benches.

@@ -158,8 +158,8 @@ TEST(ParseUnsigned, WholeUnsignedTextThatFitsOnly)
 
 TEST(BenchUtilDeathTest, SignedOrOversizedValueRejected)
 {
-    // strtoull alone read "-1" as 2^64-1, and --jobs narrowed
-    // 4294967296 to 0, which silently meant the default.
+    // A sign would wrap to 2^64-1, and 4294967296 would narrow to 0,
+    // which --jobs reads as the default: both must be named errors.
     struct Case
     {
         const char *flag;

@@ -332,9 +332,9 @@ TEST(ParallelSweep, ManyMorePointsThanWorkers)
 
 TEST(ParallelSweep, ThrowingPointRethrowsAtItsCommit)
 {
-    // A point that throws must reach the caller, after every earlier
-    // point has committed, at any job count: on a worker it used to
-    // leave its slot unfinished and finish() waited forever.
+    // A point that throws reaches the caller after every earlier
+    // point has committed, and nothing after it commits, at any job
+    // count. A worker that lost the exception would hang finish().
     for (unsigned jobs : {1u, 4u}) {
         std::vector<int> committed;
         const auto run = [&] {

@@ -52,8 +52,8 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             char *end = nullptr;
             params.scale = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' ||
-                !std::isfinite(params.scale) || params.scale <= 0.0)
+            if (*end != '\0' || !std::isfinite(params.scale) ||
+                params.scale <= 0.0)
                 return invalid(i);
         } else if (std::strcmp(argv[i], "--arch") == 0 &&
                    i + 1 < argc) {
