@@ -19,13 +19,14 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
+
+void
+detail::rngBoundFailed()
+{
+    MW_PANIC("assertion failed: bound > 0 ",
+             "uniformInt bound must be positive");
+}
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -39,58 +40,12 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t bound)
-{
-    MW_ASSERT(bound > 0, "uniformInt bound must be positive");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = max() - max() % bound;
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
-    return v % bound;
-}
-
-std::uint64_t
 Rng::uniformRange(std::uint64_t lo, std::uint64_t hi)
 {
     MW_ASSERT(lo <= hi, "uniformRange requires lo <= hi");
     if (lo == 0 && hi == max())
         return next();
     return lo + uniformInt(hi - lo + 1);
-}
-
-double
-Rng::uniformReal()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniformReal() < p;
 }
 
 double

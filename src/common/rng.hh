@@ -17,6 +17,11 @@
 
 namespace memwall {
 
+namespace detail {
+/** Out-of-line failure of Rng::uniformInt's bound check. */
+[[noreturn]] void rngBoundFailed();
+} // namespace detail
+
 /**
  * xoshiro256++ generator with convenience distributions.
  *
@@ -38,16 +43,46 @@ class Rng
     result_type operator()() { return next(); }
 
     /** @return a uniform integer in [0, bound); bound must be > 0. */
-    std::uint64_t uniformInt(std::uint64_t bound);
+    std::uint64_t
+    uniformInt(std::uint64_t bound)
+    {
+        if (bound == 0)
+            detail::rngBoundFailed();
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t limit = max() - max() % bound;
+        std::uint64_t v;
+        do {
+            v = next();
+        } while (v >= limit);
+        return v % bound;
+    }
 
     /** @return a uniform integer in [lo, hi] inclusive. */
     std::uint64_t uniformRange(std::uint64_t lo, std::uint64_t hi);
 
+    /**
+     * @return 53 uniform random bits, the draw uniformReal() scales:
+     * uniformReal() == uniformBits53() * 2^-53 exactly.
+     */
+    std::uint64_t uniformBits53() { return next() >> 11; }
+
     /** @return a uniform double in [0, 1). */
-    double uniformReal();
+    double
+    uniformReal()
+    {
+        return static_cast<double>(uniformBits53()) * 0x1.0p-53;
+    }
 
     /** @return true with probability @p p (clamped to [0,1]). */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniformReal() < p;
+    }
 
     /** @return an Exp(1/mean)-distributed double; mean must be > 0. */
     double exponential(double mean);
@@ -63,7 +98,27 @@ class Rng
     Rng split();
 
   private:
-    std::uint64_t next();
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     std::array<std::uint64_t, 4> s_;
 };

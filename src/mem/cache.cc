@@ -132,6 +132,27 @@ Cache::warmAccess(Addr addr, bool store)
     return result;
 }
 
+template <bool Count>
+void
+Cache::runAt(Addr first, Addr last, std::uint64_t count, bool store)
+{
+    if constexpr (Count)
+        access(first, store);
+    else
+        warmAccess(first, store);
+    if (count < 2)
+        return;
+    // The other count - 1 accesses hit the line the first one left
+    // resident; only the last one's touch survives them.
+    lru_clock_ += count - 2;
+    touchWay(findWay(setIndex(last), tagOf(last)), last, store);
+    if constexpr (Count)
+        (store ? stats_.store_hits : stats_.load_hits).inc(count - 1);
+}
+
+template void Cache::runAt<true>(Addr, Addr, std::uint64_t, bool);
+template void Cache::runAt<false>(Addr, Addr, std::uint64_t, bool);
+
 void
 Cache::fillAt(AccessResult &result, std::uint64_t set, Addr addr,
               bool store)

@@ -17,6 +17,7 @@
 #ifndef MEMWALL_MEM_CACHE_HH
 #define MEMWALL_MEM_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -75,6 +76,30 @@ struct AccessResult
 };
 
 /**
+ * Split the @p count 4-byte instruction fetches at @p first_pc,
+ * first_pc + 4, ... into the runs that fall on one line of
+ * @p line_size bytes and call @p fn(first, last, n) once per run, in
+ * order. A fetch belongs to the line of its first byte, as
+ * Cache::access(pc) counts it, so routines need not be 4-byte
+ * aligned.
+ */
+template <typename Fn>
+void
+forEachFetchLine(Addr first_pc, std::uint64_t count,
+                 std::uint64_t line_size, Fn &&fn)
+{
+    Addr pc = first_pc;
+    while (count > 0) {
+        const Addr to_line_end = line_size - (pc & (line_size - 1));
+        const std::uint64_t n =
+            std::min<std::uint64_t>(count, (to_line_end + 3) / 4);
+        fn(pc, pc + 4 * (n - 1), n);
+        pc += 4 * n;
+        count -= n;
+    }
+}
+
+/**
  * Tag-array cache model.
  *
  * Misses allocate (fetch-on-write for stores, as a write-back
@@ -101,6 +126,27 @@ class Cache
      * this skips the tag walk access() would repeat.
      */
     AccessResult fill(Addr addr, bool store);
+
+    /**
+     * @p count accesses in a row to the line holding @p first, the
+     * first at @p first and the last at @p last (an address on the
+     * same line): the first is an access(), the others hit the line
+     * it left resident. State and statistics end exactly as after
+     * the @p count access() calls, LRU clock included, at the cost
+     * of two tag walks.
+     */
+    void accessRun(Addr first, Addr last, std::uint64_t count,
+                   bool store)
+    {
+        runAt<true>(first, last, count, store);
+    }
+
+    /** accessRun() without statistics (warmAccess() @p count times). */
+    void warmAccessRun(Addr first, Addr last, std::uint64_t count,
+                       bool store)
+    {
+        runAt<false>(first, last, count, store);
+    }
 
     /**
      * Functional-warming access: identical tag/LRU/dirty/fill state
@@ -191,6 +237,9 @@ class Cache
                 return base + w;
         return no_way;
     }
+
+    template <bool Count>
+    void runAt(Addr first, Addr last, std::uint64_t count, bool store);
 
     /** Eviction record of the valid way @p way of @p set. */
     Eviction evictionOf(std::size_t way, std::uint64_t set) const;

@@ -49,6 +49,24 @@ ColumnInstrCache::warmFetch(Addr pc)
     return cache_.warmAccess(pc, false).hit;
 }
 
+void
+ColumnInstrCache::fetchRun(Addr first_pc, std::uint64_t count)
+{
+    forEachFetchLine(first_pc, count, cache_.config().line_size,
+                     [this](Addr first, Addr last, std::uint64_t n) {
+                         cache_.accessRun(first, last, n, false);
+                     });
+}
+
+void
+ColumnInstrCache::warmFetchRun(Addr first_pc, std::uint64_t count)
+{
+    forEachFetchLine(first_pc, count, cache_.config().line_size,
+                     [this](Addr first, Addr last, std::uint64_t n) {
+                         cache_.warmAccessRun(first, last, n, false);
+                     });
+}
+
 ColumnDataCache::ColumnDataCache(const ColumnCacheConfig &config)
     : config_(config),
       columns_(dataConfig(config)),

@@ -71,6 +71,17 @@ class ColumnInstrCache
     /** fetch() without statistics (functional-warming path). */
     bool warmFetch(Addr pc);
 
+    /**
+     * @p count fetches of the straight-line code at @p first_pc,
+     * first_pc + 4, ...: one tag walk per column they touch, the
+     * column's other fetches counted as the hits they are. Same
+     * state and statistics as fetch() on each pc in turn.
+     */
+    void fetchRun(Addr first_pc, std::uint64_t count);
+
+    /** fetchRun() without statistics (warmFetch() on each pc). */
+    void warmFetchRun(Addr first_pc, std::uint64_t count);
+
     bool probe(Addr pc) const { return cache_.probe(pc); }
     const AccessStats &stats() const { return cache_.stats(); }
     const Cache &cache() const { return cache_; }

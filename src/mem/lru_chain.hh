@@ -101,6 +101,24 @@ class LruInclusionChain
      */
     void warmAccess(Addr addr, bool store) { walk<false>(addr, store); }
 
+    /**
+     * @p count instruction fetches at @p first_pc, first_pc + 4, ...
+     * (loads): one walk per line they touch. The walk leaves the line
+     * the most recent of its set at every level, so the line's other
+     * fetches hit everywhere and change no state; they are only
+     * counted. Same state and statistics as access() on each pc.
+     */
+    void fetchRun(Addr first_pc, std::uint64_t count)
+    {
+        runOfFetches<true>(first_pc, count);
+    }
+
+    /** fetchRun() without statistics (warmAccess() on each pc). */
+    void warmFetchRun(Addr first_pc, std::uint64_t count)
+    {
+        runOfFetches<false>(first_pc, count);
+    }
+
     std::size_t levels() const { return levels_.size(); }
     const CacheConfig &config(std::size_t level) const
     {
@@ -173,6 +191,21 @@ class LruInclusionChain
         if constexpr (Count)
             for (; k < n; ++k)
                 (store ? stats[k].store_hits : stats[k].load_hits).inc();
+    }
+
+    template <bool Count>
+    void
+    runOfFetches(Addr first_pc, std::uint64_t count)
+    {
+        forEachFetchLine(
+            first_pc, count, Addr{1} << line_shift_,
+            [this](Addr first, Addr, std::uint64_t n) {
+                walk<Count>(first, false);
+                if constexpr (Count)
+                    if (n > 1)
+                        for (AccessStats &s : stats_)
+                            s.load_hits.inc(n - 1);
+            });
     }
 
     std::vector<CacheConfig> configs_;

@@ -1,16 +1,107 @@
 #include "trace/synthetic.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
 namespace memwall {
+
+namespace {
+
+constexpr std::uint64_t draws53 = std::uint64_t{1} << 53;
+
+/** The floating-point pick of pickBoundaries()'s comment at draw @p k:
+ *  whether it picks past index @p i. */
+bool
+picksPast(const std::vector<double> &weights, double total,
+          std::uint64_t k, std::size_t i)
+{
+    double pick = static_cast<double>(k) * 0x1.0p-53 * total;
+    for (std::size_t j = 0; j <= i; ++j) {
+        pick -= weights[j];
+        if (pick <= 0.0)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+std::vector<std::uint64_t>
+pickBoundaries(const std::vector<double> &weights)
+{
+    double total = 0.0;
+    for (const double w : weights)
+        total += w;
+    std::vector<std::uint64_t> bounds;
+    std::uint64_t floor = 0;
+    double prefix = 0.0;
+    for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
+        // The least k that picks past i; 2^53 stands for "none" and
+        // counts as picking past. The boundaries never decrease.
+        const auto past = [&](std::uint64_t k) {
+            return k >= draws53 || picksPast(weights, total, k, i);
+        };
+        // Start next to the exact-arithmetic boundary, where the
+        // rounded one lies within a few draws, and gallop outwards
+        // until [lo, hi] brackets it: !past(lo - 1) and past(hi).
+        prefix += weights[i];
+        const double guess = prefix / total * 0x1.0p53;
+        const std::uint64_t start =
+            std::isfinite(guess) && guess > static_cast<double>(floor)
+                ? std::min(static_cast<std::uint64_t>(
+                               std::min(guess, 0x1.0p53)),
+                           draws53)
+                : floor;
+        std::uint64_t lo = floor, hi = draws53;
+        std::uint64_t step = 1;
+        if (past(start)) {
+            hi = start;
+            while (hi - lo > step && past(hi - step)) {
+                hi -= step;
+                step *= 2;
+            }
+            if (hi - lo > step)
+                lo = hi - step + 1;
+        } else {
+            lo = start + 1;
+            while (draws53 - lo > step && !past(lo + step - 1)) {
+                lo += step;
+                step *= 2;
+            }
+            if (draws53 - lo > step)
+                hi = lo + step - 1;
+        }
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (past(mid))
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        bounds.push_back(lo);
+        floor = lo;
+    }
+    return bounds;
+}
+
+std::uint64_t
+bernoulliThreshold(double p)
+{
+    if (p <= 0.0)
+        return never_threshold;
+    if (p >= 1.0)
+        return always_threshold;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 SyntheticWorkload::SyntheticWorkload(SyntheticSpec spec)
     : spec_(std::move(spec)), rng_(spec_.seed)
 {
     if (spec_.routines.empty())
         MW_FATAL(spec_.name, ": workload needs at least one routine");
+    std::vector<double> weights;
     for (const auto &r : spec_.routines) {
         MW_ASSERT(r.length >= 4 && r.length % 4 == 0,
                   spec_.name, ": routine length must be a positive "
@@ -25,24 +116,55 @@ SyntheticWorkload::SyntheticWorkload(SyntheticSpec spec)
                           r.call_target)].call_target < 0,
                       spec_.name, ": nested routine calls unsupported");
         }
-        routine_weight_total_ += r.weight;
+        weights.push_back(r.weight);
     }
-    stream_group_.reserve(spec_.streams.size());
-    for (std::size_t i = 0; i < spec_.streams.size(); ++i) {
-        const auto &s = spec_.streams[i];
+    routine_bounds_ = pickBoundaries(weights);
+
+    weights.clear();
+    std::vector<int> group_ids;
+    for (const auto &s : spec_.streams) {
         MW_ASSERT(s.size > 0 && s.weight > 0.0,
                   spec_.name, ": bad stream parameters");
-        stream_weight_total_ += s.weight;
-        stream_group_.push_back(s.group);
+        weights.push_back(s.weight);
         if (s.group >= 0) {
             MW_ASSERT(s.kind == StreamKind::Strided,
                       spec_.name, ": lockstep streams must be strided");
-            groups_[s.group].members.push_back(i);
+            group_ids.push_back(s.group);
         }
+    }
+    stream_bounds_ = pickBoundaries(weights);
+    std::sort(group_ids.begin(), group_ids.end());
+    group_ids.erase(std::unique(group_ids.begin(), group_ids.end()),
+                    group_ids.end());
+    groups_.resize(group_ids.size());
+    for (std::size_t i = 0; i < spec_.streams.size(); ++i) {
+        const auto &s = spec_.streams[i];
+        StreamDraw d;
+        if (s.kind != StreamKind::Strided) {
+            d.slots = s.access_size ? s.size / s.access_size : 0;
+            MW_ASSERT(d.slots > 0, spec_.name,
+                      ": random and chase streams need a region of at "
+                      "least one access");
+            d.limit = Rng::max() - Rng::max() % d.slots;
+            d.slot_mask = isPowerOfTwo(d.slots) ? d.slots - 1 : 0;
+        }
+        d.store_threshold = bernoulliThreshold(s.store_frac);
+        if (s.group >= 0) {
+            d.group = static_cast<int>(
+                std::lower_bound(group_ids.begin(), group_ids.end(),
+                                 s.group) -
+                group_ids.begin());
+            groups_[static_cast<std::size_t>(d.group)]
+                .members.push_back(i);
+        }
+        draws_.push_back(d);
     }
     if (spec_.streams.empty() && spec_.refs_per_instr > 0.0)
         MW_FATAL(spec_.name,
                  ": refs_per_instr > 0 but no data streams given");
+    data_threshold_ = spec_.streams.empty()
+        ? never_threshold
+        : bernoulliThreshold(spec_.refs_per_instr);
     cursors_.assign(spec_.streams.size(), 0);
     reuse_left_.assign(spec_.streams.size(), 0);
     reset();
@@ -60,7 +182,7 @@ SyntheticWorkload::reset()
     for (std::size_t i = 0; i < reuse_left_.size(); ++i)
         reuse_left_[i] =
             spec_.streams[i].reuse ? spec_.streams[i].reuse : 1;
-    for (auto &[id, group] : groups_) {
+    for (Group &group : groups_) {
         group.cursor = 0;
         group.rr = 0;
         const auto &first = spec_.streams[group.members.front()];
@@ -74,7 +196,7 @@ SyntheticWorkload::scatterState()
 {
     // Independent stream cursors: a uniform position on the walk.
     for (std::size_t i = 0; i < spec_.streams.size(); ++i) {
-        if (stream_group_[i] >= 0)
+        if (draws_[i].group >= 0)
             continue;
         const DataStream &s = spec_.streams[i];
         switch (s.kind) {
@@ -97,7 +219,7 @@ SyntheticWorkload::scatterState()
     }
     // Lockstep groups: one shared cursor, uniform on the walk; the
     // members stay congruent (that is the modelled conflict).
-    for (auto &[id, group] : groups_) {
+    for (Group &group : groups_) {
         const DataStream &first =
             spec_.streams[group.members.front()];
         const std::uint64_t step = static_cast<std::uint64_t>(
@@ -176,15 +298,8 @@ SyntheticWorkload::scatterState()
 void
 SyntheticWorkload::selectRoutine()
 {
-    double pick = rng_.uniformReal() * routine_weight_total_;
-    std::size_t chosen = spec_.routines.size() - 1;
-    for (std::size_t i = 0; i < spec_.routines.size(); ++i) {
-        pick -= spec_.routines[i].weight;
-        if (pick <= 0.0) {
-            chosen = i;
-            break;
-        }
-    }
+    const std::size_t chosen =
+        pickIndex(routine_bounds_, rng_.uniformBits53());
     cur_routine_ = chosen;
     cur_offset_ = 0;
     const double mean = spec_.routines[chosen].mean_repeats;
@@ -194,97 +309,29 @@ SyntheticWorkload::selectRoutine()
         : 1 + rng_.geometric(1.0 / mean);
 }
 
-std::size_t
-SyntheticWorkload::pickStream()
-{
-    double pick = rng_.uniformReal() * stream_weight_total_;
-    for (std::size_t i = 0; i < spec_.streams.size(); ++i) {
-        pick -= spec_.streams[i].weight;
-        if (pick <= 0.0)
-            return i;
-    }
-    return spec_.streams.size() - 1;
-}
-
 SyntheticWorkload::DataRef
-SyntheticWorkload::nextData(std::size_t stream_index)
+SyntheticWorkload::nextGroupData(const StreamDraw &sd)
 {
     // Lockstep groups: serve members round-robin off one shared
     // cursor, advancing it only after a full round (with reuse).
-    const int gid = stream_group_[stream_index];
-    if (gid >= 0) {
-        Group &g = groups_[gid];
-        const std::size_t member = g.members[g.rr];
-        const DataStream &ms = spec_.streams[member];
-        Addr maddr = (ms.base + g.cursor) &
-                     ~static_cast<Addr>(ms.access_size - 1);
-        DataRef ref{maddr, rng_.bernoulli(ms.store_frac),
-                    ms.access_size};
-        g.rr = (g.rr + 1) %
-               static_cast<std::uint32_t>(g.members.size());
-        if (g.rr == 0) {
-            if (g.reuse_left > 1) {
-                --g.reuse_left;
-            } else {
-                g.reuse_left = ms.reuse ? ms.reuse : 1;
-                const std::int64_t next =
-                    static_cast<std::int64_t>(g.cursor) + ms.stride;
-                if (next < 0)
-                    g.cursor = ms.size + next;
-                else if (static_cast<std::uint64_t>(next) >= ms.size)
-                    g.cursor = static_cast<std::uint64_t>(next) -
-                               ms.size;
-                else
-                    g.cursor = static_cast<std::uint64_t>(next);
-            }
+    Group &g = groups_[static_cast<std::size_t>(sd.group)];
+    const std::size_t member = g.members[g.rr];
+    const DataStream &ms = spec_.streams[member];
+    const Addr maddr =
+        (ms.base + g.cursor) & ~static_cast<Addr>(ms.access_size - 1);
+    const DataRef ref{maddr,
+                      draw(rng_, draws_[member].store_threshold),
+                      ms.access_size};
+    g.rr = (g.rr + 1) % static_cast<std::uint32_t>(g.members.size());
+    if (g.rr == 0) {
+        if (g.reuse_left > 1) {
+            --g.reuse_left;
+        } else {
+            g.reuse_left = ms.reuse ? ms.reuse : 1;
+            g.cursor = wrapStep(g.cursor, ms.stride, ms.size);
         }
-        return ref;
     }
-
-    const DataStream &s = spec_.streams[stream_index];
-    std::uint64_t &cursor = cursors_[stream_index];
-    Addr addr = 0;
-    bool store = false;
-    switch (s.kind) {
-      case StreamKind::Strided: {
-        addr = s.base + cursor;
-        // Temporal reuse: stay on this position until its budget
-        // is spent, then advance by the stride.
-        if (reuse_left_[stream_index] > 1) {
-            --reuse_left_[stream_index];
-            break;
-        }
-        reuse_left_[stream_index] = s.reuse ? s.reuse : 1;
-        const std::int64_t next =
-            static_cast<std::int64_t>(cursor) + s.stride;
-        if (next < 0)
-            cursor = s.size + next;  // wrap backwards
-        else if (static_cast<std::uint64_t>(next) >= s.size)
-            cursor = static_cast<std::uint64_t>(next) - s.size;
-        else
-            cursor = static_cast<std::uint64_t>(next);
-        break;
-      }
-      case StreamKind::Random: {
-        const std::uint64_t slots = s.size / s.access_size;
-        addr = s.base + rng_.uniformInt(slots) * s.access_size;
-        break;
-      }
-      case StreamKind::Chase: {
-        // Deterministic full-period LCG walk over the region's
-        // access slots: visits every slot in a scattered order, the
-        // classic linked-list traversal pattern.
-        const std::uint64_t slots = s.size / s.access_size;
-        addr = s.base + (cursor % slots) * s.access_size;
-        cursor = (cursor * 6364136223846793005ULL +
-                  1442695040888963407ULL);
-        break;
-      }
-    }
-    store = rng_.bernoulli(s.store_frac);
-    // Align to the access size.
-    addr &= ~static_cast<Addr>(s.access_size - 1);
-    return DataRef{addr, store, s.access_size};
+    return ref;
 }
 
 void

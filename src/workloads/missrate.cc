@@ -74,41 +74,47 @@ struct ComparisonCaches
         {conv(16 * KiB, 2, cachelabels::conv16w2),
          conv(256 * KiB, 2, cachelabels::conv256w2)}};
 
-    /** Full-detail fan-out: every cache models the reference and
-     * counts it. One statically typed sink per replay loop:
-     * generateInto() inlines the generator's emission loop and this
-     * body together (no per-ref std::function dispatch). The
-     * conventional caches cost one chain walk per reference and
-     * side, and only the 2-way chain walks past a hit. */
+    /**
+     * Replay @p refs references of @p source into every cache: with
+     * Count, each models and counts them; without, the functional-
+     * warming path makes the same state transitions and counts
+     * nothing. The I and D sides are separate caches, so the
+     * generator's split delivery hands each straight run of fetches
+     * to the I side at once (one walk per line) and the data
+     * references to the D side one by one; generateSplit() inlines
+     * the emission loop and both bodies together. The conventional
+     * caches cost one chain walk per data reference (and per fetched
+     * line), and only the 2-way chain walks past a hit.
+     */
+    template <bool Count>
     void
-    detail(const MemRef &ref)
+    replay(SyntheticWorkload &source, std::uint64_t refs)
     {
-        if (ref.type == RefType::IFetch) {
-            icache_pim.fetch(ref.pc);
-            conv_i.access(ref.pc, false);
-        } else {
-            const bool store = ref.type == RefType::Store;
-            dcache_plain.access(ref.addr, store);
-            dcache_vc.access(ref.addr, store);
-            conv_d_dm.access(ref.addr, store);
-            conv_d_2w.access(ref.addr, store);
-        }
-    }
-
-    /** Functional warming: identical state transitions, no stats. */
-    void
-    warm(const MemRef &ref)
-    {
-        if (ref.type == RefType::IFetch) {
-            icache_pim.warmFetch(ref.pc);
-            conv_i.warmAccess(ref.pc, false);
-        } else {
-            const bool store = ref.type == RefType::Store;
-            dcache_plain.warmAccess(ref.addr, store);
-            dcache_vc.warmAccess(ref.addr, store);
-            conv_d_dm.warmAccess(ref.addr, store);
-            conv_d_2w.warmAccess(ref.addr, store);
-        }
+        source.generateSplit(
+            refs,
+            [this](Addr first_pc, std::uint64_t count) {
+                if constexpr (Count) {
+                    icache_pim.fetchRun(first_pc, count);
+                    conv_i.fetchRun(first_pc, count);
+                } else {
+                    icache_pim.warmFetchRun(first_pc, count);
+                    conv_i.warmFetchRun(first_pc, count);
+                }
+            },
+            [this](const MemRef &ref) {
+                const bool store = ref.type == RefType::Store;
+                if constexpr (Count) {
+                    dcache_plain.access(ref.addr, store);
+                    dcache_vc.access(ref.addr, store);
+                    conv_d_dm.access(ref.addr, store);
+                    conv_d_2w.access(ref.addr, store);
+                } else {
+                    dcache_plain.warmAccess(ref.addr, store);
+                    dcache_vc.warmAccess(ref.addr, store);
+                    conv_d_dm.warmAccess(ref.addr, store);
+                    conv_d_2w.warmAccess(ref.addr, store);
+                }
+            });
     }
 
     void
@@ -246,15 +252,10 @@ measureMissRates(const SpecWorkload &workload,
     if (params.stationary_start)
         source.scatterState();
 
-    const auto replay = [&](std::uint64_t total) {
-        source.generateInto(
-            total, [&](const MemRef &ref) { caches.detail(ref); });
-    };
-
     // Warm up, then reset statistics and measure.
-    replay(params.warmup_refs);
+    caches.replay<true>(source, params.warmup_refs);
     caches.resetStats();
-    replay(params.measured_refs);
+    caches.replay<true>(source, params.measured_refs);
 
     WorkloadMissRates out;
     out.workload = workload.name;
@@ -298,13 +299,8 @@ measureMissRatesSampled(const SpecWorkload &workload,
     out.workload = workload.name;
     out.plan = plan.describe();
 
-    const auto detail_sink = [&](const MemRef &ref) {
-        caches.detail(ref);
-    };
-    const auto warm_sink = [&](const MemRef &ref) {
-        caches.warm(ref);
-    };
-    const auto ff_sink = [](const MemRef &) {};
+    const auto ff_fetches = [](Addr, std::uint64_t) {};
+    const auto ff_data = [](const MemRef &) {};
 
     if (plan.scheme == SampleScheme::Systematic) {
         // Walk the one stream the full measurement would replay,
@@ -321,11 +317,11 @@ measureMissRatesSampled(const SpecWorkload &workload,
                 std::min(cursor.phaseRemaining(), remaining);
             switch (cursor.mode()) {
             case SampleMode::FastForward:
-                source.generateInto(chunk, ff_sink);
+                source.generateSplit(chunk, ff_fetches, ff_data);
                 out.ff_refs += chunk;
                 break;
             case SampleMode::Warm:
-                source.generateInto(chunk, warm_sink);
+                caches.replay<false>(source, chunk);
                 out.warm_refs += chunk;
                 break;
             case SampleMode::Detail:
@@ -333,7 +329,7 @@ measureMissRatesSampled(const SpecWorkload &workload,
                     icaches.beginUnit();
                     dcaches.beginUnit();
                 }
-                source.generateInto(chunk, detail_sink);
+                caches.replay<true>(source, chunk);
                 out.detail_refs += chunk;
                 break;
             }
@@ -369,16 +365,15 @@ measureMissRatesSampled(const SpecWorkload &workload,
         const std::uint64_t floor_units = plan.units;
         const std::uint64_t cap =
             plan.adaptive() ? plan.max_units : plan.units;
+        SyntheticWorkload source(workload.proxy);
         for (std::uint64_t unit = 0; unit < cap; ++unit) {
-            SyntheticSpec spec = workload.proxy;
-            spec.seed = pointSeed(base, unit);
-            SyntheticWorkload source(spec);
+            source.reseed(pointSeed(base, unit));
             source.scatterState();
-            source.generateInto(plan.warmup_refs, warm_sink);
+            caches.replay<false>(source, plan.warmup_refs);
             out.warm_refs += plan.warmup_refs;
             icaches.beginUnit();
             dcaches.beginUnit();
-            source.generateInto(plan.unit_refs, detail_sink);
+            caches.replay<true>(source, plan.unit_refs);
             out.detail_refs += plan.unit_refs;
             icaches.endUnit();
             dcaches.endUnit();
@@ -470,18 +465,19 @@ measureIntegratedRates(const SpecWorkload &workload, bool victim_cache,
     ColumnInstrCache icache(cfg);
     ColumnDataCache dcache(cfg);
 
+    // Separate I and D caches: the split delivery applies.
     SyntheticWorkload source(workload.proxy);
-    const auto sink = [&](const MemRef &ref) {
-        if (ref.type == RefType::IFetch)
-            icache.fetch(ref.pc);
-        else
-            dcache.access(ref.addr, ref.type == RefType::Store);
+    const auto fetches = [&](Addr first_pc, std::uint64_t count) {
+        icache.fetchRun(first_pc, count);
+    };
+    const auto data = [&](const MemRef &ref) {
+        dcache.access(ref.addr, ref.type == RefType::Store);
     };
 
-    source.generateInto(params.warmup_refs, sink);
+    source.generateSplit(params.warmup_refs, fetches, data);
     icache.resetStats();
     dcache.resetStats();
-    source.generateInto(params.measured_refs, sink);
+    source.generateSplit(params.measured_refs, fetches, data);
 
     const AccessStats &is = icache.stats();
     const AccessStats &ds = dcache.stats();
