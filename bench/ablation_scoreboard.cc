@@ -22,6 +22,12 @@ int
 main(int argc, char **argv)
 {
     auto opt = benchutil::parse(argc, argv);
+    // The measured window and the GSPN length are fixed per mode;
+    // nothing here would read a reference count.
+    if (opt.refs != 0)
+        benchutil::usageError(argv[0], {},
+                              "--refs does not apply to this ablation "
+                              "(its sizes are set by --quick)");
     benchutil::banner("Ablation - scoreboarding", opt);
 
     SpecEvalParams params;

@@ -12,6 +12,7 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
+#include "harness/parallel_sweep.hh"
 #include "workloads/spec_tables.hh"
 
 using namespace memwall;
@@ -35,6 +36,10 @@ main(int argc, char **argv)
     SeriesChart chart("Figure 11: conventional CPU CPI vs latency",
                       "memory latency (ns)", "CPI");
 
+    // Every (workload, L2, memory) point is an independent GSPN run,
+    // committed in submission order; all share params.seed, as a
+    // serial run does.
+    ParallelSweep<double> sweep(opt.jobs, opt.seed);
     for (const char *name : {"141.apsi", "126.gcc"}) {
         const SpecWorkload &w = findWorkload(name);
         // One measurement; every latency point prices the same rates.
@@ -47,12 +52,21 @@ main(int argc, char **argv)
             for (double ns : mem_ns) {
                 const double mem_cycles =
                     static_cast<double>(clock.nsToCycles(ns));
-                const SpecEstimate est = estimateReference(
-                    w, rates, l2, mem_cycles, params);
-                chart.addPoint(series, ns, est.cpi.total());
+                sweep.submit(
+                    [&w, rates, &params, l2,
+                     mem_cycles](const PointContext &) {
+                        return estimateReference(w, rates, l2,
+                                                 mem_cycles, params)
+                            .cpi.total();
+                    },
+                    [&chart, series, ns](const PointContext &,
+                                         double cpi) {
+                        chart.addPoint(series, ns, cpi);
+                    });
             }
         }
     }
+    sweep.finish();
     chart.print(std::cout);
 
     std::cout << "\nNote: the raw (zero-latency-memory) CPI is the "

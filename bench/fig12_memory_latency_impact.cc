@@ -10,6 +10,7 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
+#include "harness/parallel_sweep.hh"
 #include "workloads/spec_tables.hh"
 
 using namespace memwall;
@@ -31,6 +32,10 @@ main(int argc, char **argv)
                       "access time",
                       "DRAM access (ns)", "CPI");
 
+    // Every (workload, DRAM time) point is an independent GSPN run,
+    // committed in submission order; all share params.seed, as a
+    // serial run does.
+    ParallelSweep<SpecEstimate> sweep(opt.jobs, opt.seed);
     for (const char *name : {"141.apsi", "126.gcc"}) {
         const SpecWorkload &w = findWorkload(name);
         // One measurement; every DRAM point prices the same rates.
@@ -40,18 +45,25 @@ main(int argc, char **argv)
             SpecEvalParams p = params;
             p.bank_access =
                 static_cast<double>(clock.nsToCycles(ns));
-            const SpecEstimate est = estimateIntegrated(w, rates, p);
-            chart.addPoint(name, ns, est.cpi.total());
-            if (ns == 30) {
-                std::cout << name << " @30ns: memory CPI impact = "
-                          << TextTable::num(
-                                 100.0 * est.cpi.memory /
-                                     est.cpi.base,
-                                 1)
-                          << "% of raw CPI\n";
-            }
+            sweep.submit(
+                [&w, rates, p](const PointContext &) {
+                    return estimateIntegrated(w, rates, p);
+                },
+                [&chart, name, ns](const PointContext &,
+                                   SpecEstimate est) {
+                    chart.addPoint(name, ns, est.cpi.total());
+                    if (ns == 30) {
+                        std::cout
+                            << name << " @30ns: memory CPI impact = "
+                            << TextTable::num(100.0 * est.cpi.memory /
+                                                  est.cpi.base,
+                                              1)
+                            << "% of raw CPI\n";
+                    }
+                });
         }
     }
+    sweep.finish();
     std::cout << '\n';
     chart.print(std::cout);
     return 0;

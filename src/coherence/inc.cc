@@ -57,6 +57,12 @@ InterNodeCache::insert(Addr addr)
     cache_.access(blockAddr(addr), false);
 }
 
+void
+InterNodeCache::insertMissing(Addr addr)
+{
+    cache_.fill(blockAddr(addr), false);
+}
+
 bool
 InterNodeCache::invalidate(Addr addr)
 {

@@ -48,6 +48,12 @@ class InterNodeCache
     /** Insert an imported block (may evict another import). */
     void insert(Addr addr);
 
+    /**
+     * insert() for a block that access() has just reported missing:
+     * the same fill, without walking the set again to look for it.
+     */
+    void insertMissing(Addr addr);
+
     /** Invalidate a block on coherence action. */
     bool invalidate(Addr addr);
 

@@ -383,8 +383,9 @@ NumaMachine::accessImpl(unsigned cpu, Addr addr, bool store,
                 n.stats.inc_hits.inc();
                 return lat.inc_access + lat.inc_tag_extra;
             }
-            // Fell out of the INC as well: fetch again.
-            incOf(n).insert(block);
+            // Fell out of the INC as well (or this node has none
+            // yet, which holds nothing): fetch again.
+            incOf(n).insertMissing(block);
             n.columns->stageRemoteBlock(block);
             last_service_ = ServiceLevel::Remote;
             n.stats.remote_loads.inc();

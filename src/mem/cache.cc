@@ -48,7 +48,7 @@ Cache::Cache(CacheConfig config, std::uint64_t seed)
     tag_shift_ = line_shift_ + floorLog2(sets_);
     sub_shift_ = floorLog2(config_.sub_block_size);
     tags_.assign(sets_ * assoc_, invalid_tag);
-    ways_.resize(sets_ * assoc_);
+    ways_ = std::make_unique_for_overwrite<WayState[]>(sets_ * assoc_);
 }
 
 std::size_t

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -208,12 +209,14 @@ class Cache
     static constexpr std::size_t no_way = ~std::size_t{0};
 
     /** Everything about a way but its tag (kept in tags_); read
-     *  only while the way is valid, and reset when it is filled. */
+     *  only while the way is valid, and every field is written when
+     *  it is filled, so the array starts uninitialised: a large INC
+     *  tag array is never touched beyond the sets it uses. */
     struct WayState
     {
-        std::uint64_t lru = 0;
-        std::uint32_t last_sub_block = 0;
-        bool dirty = false;
+        std::uint64_t lru;
+        std::uint32_t last_sub_block;
+        bool dirty;
     };
 
     std::uint64_t
@@ -274,7 +277,7 @@ class Cache
     /** Tag of every way, set by set; invalid_tag when empty. */
     std::vector<Addr> tags_;
     /** The rest of each way's state, parallel to tags_. */
-    std::vector<WayState> ways_;
+    std::unique_ptr<WayState[]> ways_;
     std::uint64_t lru_clock_ = 0;
     std::uint64_t rng_state_;
     AccessStats stats_;

@@ -109,14 +109,30 @@ ResultCache::lookup(const std::string &canonical) const
 }
 
 bool
+ResultCache::find(const std::string &canonical, std::string *out) const
+{
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
+    const auto it = entries_.find(canonical);
+    if (it == entries_.end())
+        return false;
+    *out = it->second.result;
+    return true;
+}
+
+bool
 ResultCache::insert(const std::string &canonical,
                     const std::string &result, std::string *why)
 {
-    const bool appended =
-        journal_.append(static_cast<std::size_t>(next_seq_),
-                        encodePayload(canonical, result), why);
-    entries_[canonical] = Entry{result, next_seq_};
-    ++next_seq_;
+    std::lock_guard<std::mutex> journal_lock(journal_mu_);
+    std::uint64_t seq = 0;
+    {
+        std::lock_guard<std::mutex> memo_lock(memo_mu_);
+        seq = next_seq_++;
+        entries_[canonical] = Entry{result, seq};
+    }
+    const bool appended = journal_.append(
+        static_cast<std::size_t>(seq), encodePayload(canonical, result),
+        why);
     if (appended && cap_bytes_ > 0 && journal_.bytes() > cap_bytes_) {
         std::string compact_why;
         if (!compact(&compact_why))
@@ -139,28 +155,33 @@ ResultCache::compact(std::string *why)
     // keepers oldest-first into the temp journal, renamed over the
     // old one — crash mid-compaction leaves the previous journal
     // intact.
-    std::vector<std::pair<std::uint64_t, const std::string *>> order;
-    order.reserve(entries_.size());
-    for (const auto &[canonical, entry] : entries_)
-        order.emplace_back(entry.seq, &canonical);
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first > b.first;
-              });
-
+    // The keys stay valid with the memo lock dropped: only inserts,
+    // which wait on the journal lock this thread holds, change them.
     std::vector<std::pair<const std::string *,
                           std::vector<std::uint8_t>>>
         keep;
-    std::uint64_t bytes = rewrite.bytes(); // the fresh header
-    for (const auto &[seq, canonical] : order) {
-        auto payload =
-            encodePayload(*canonical, entries_[*canonical].result);
-        const std::uint64_t cost =
-            ckpt::RecordJournal::recordBytes(payload.size());
-        if (!keep.empty() && bytes + cost > cap_bytes_)
-            break;
-        bytes += cost;
-        keep.emplace_back(canonical, std::move(payload));
+    {
+        std::lock_guard<std::mutex> memo_lock(memo_mu_);
+        std::vector<std::pair<std::uint64_t, const std::string *>> order;
+        order.reserve(entries_.size());
+        for (const auto &[canonical, entry] : entries_)
+            order.emplace_back(entry.seq, &canonical);
+        std::sort(order.begin(), order.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first > b.first;
+                  });
+
+        std::uint64_t bytes = rewrite.bytes(); // the fresh header
+        for (const auto &[seq, canonical] : order) {
+            auto payload = encodePayload(
+                *canonical, entries_.find(*canonical)->second.result);
+            const std::uint64_t cost =
+                ckpt::RecordJournal::recordBytes(payload.size());
+            if (!keep.empty() && bytes + cost > cap_bytes_)
+                break;
+            bytes += cost;
+            keep.emplace_back(canonical, std::move(payload));
+        }
     }
     std::reverse(keep.begin(), keep.end()); // back to oldest-first
 
@@ -193,6 +214,7 @@ ResultCache::compact(std::string *why)
         return false;
 
     // Rebuild the memo table from the survivors with fresh seqs.
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
     std::map<std::string, Entry> survivors;
     for (std::size_t i = 0; i < keep.size(); ++i)
         survivors[*keep[i].first] =

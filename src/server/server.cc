@@ -399,19 +399,12 @@ MwServer::handleRun(const Request &req)
                      std::to_string(req.run.fault_fail_points) + "," +
                      std::to_string(req.run.fault_hang_ms);
 
-    // The probe never holds mu_: the journal may be mid-fsync or
-    // compaction under cache_mu_, and the two locks never nest.
-    std::string hit;
-    const auto probe = [&] {
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
-        const std::string *p = cache_.lookup(canonical);
-        if (p != nullptr)
-            hit = *p;
-        return p != nullptr;
-    };
     // A cached result is final, so a hit — most run requests — is
     // answered without taking mu_, which admission and completion
-    // keep busy.
+    // keep busy. The probe takes only the cache's memo lock, never
+    // waiting on another run's journal fsync.
+    std::string hit;
+    const auto probe = [&] { return cache_.find(canonical, &hit); };
     if (!req.run.has_fault && probe()) {
         cache_hits_.fetch_add(1);
         return okResponse(req.id, true, hit);
@@ -475,7 +468,7 @@ MwServer::handleRun(const Request &req)
         const std::vector<std::shared_ptr<ComputeUnit>> fresh =
             admit(job);
         // A run whose points all joined finished units is complete
-        // already. finalize() journals under cache_mu_, and the new
+        // already. finalize() journals (and fsyncs), and the new
         // units need no lock to submit, so both happen with mu_
         // dropped.
         const bool complete = job->remaining == 0;
@@ -609,8 +602,8 @@ MwServer::runUnit(const std::shared_ptr<ComputeUnit> &unit)
     }
 
     // Deliver to every subscriber; finalize each job whose last
-    // point this was. finalize() journals under cache_mu_, so it
-    // must run with mu_ dropped.
+    // point this was. finalize() journals and fsyncs, so it must
+    // run with mu_ dropped.
     std::vector<std::shared_ptr<ComputeJob>> completed;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -648,12 +641,14 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
 
     // Journal BEFORE publishing completion: the key stays visible in
     // inflight_ until the cache holds it, so a duplicate request can
-    // never slip between the two and recompute. The fsync (and any
-    // compaction) runs under cache_mu_ only — never under mu_ — so
-    // admission and completion do not stall behind disk I/O.
+    // never slip between the two and recompute. The cache shows the
+    // entry to probes before its fsync, which runs (with any
+    // compaction) under the cache's journal lock only — never under
+    // mu_ — so neither admission and completion nor another run's
+    // cache hit stalls behind disk I/O. This run's own waiters are
+    // woken after the fsync.
     if (!job->failed && entry->cacheable) {
         std::string why;
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
         if (!cache_.insert(job->canonical, result_json, &why))
             // The response is still served from memory; only
             // restart durability is lost.
@@ -676,26 +671,19 @@ MwServer::finalize(const std::shared_ptr<ComputeJob> &job)
 std::string
 MwServer::statsJson()
 {
-    // Snapshot the two lock domains separately (never nested): the
-    // cache may be mid-fsync under cache_mu_, and stats must not
-    // drag mu_ into waiting on that.
+    // Snapshot mu_'s state and the cache's counters separately: the
+    // counters take only the cache's memo lock, never waiting on a
+    // journal fsync, and never while mu_ is held.
     const ServerCounters counters = this->counters();
     std::size_t inflight_count = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         inflight_count = inflight_.size();
     }
-    std::size_t cache_entries = 0;
-    std::size_t cache_recovered = 0;
-    std::size_t cache_torn = 0;
-    std::uint64_t cache_compactions = 0;
-    {
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
-        cache_entries = cache_.size();
-        cache_recovered = cache_.recovered();
-        cache_torn = cache_.tornBytes();
-        cache_compactions = cache_.compactions();
-    }
+    const std::size_t cache_entries = cache_.size();
+    const std::size_t cache_recovered = cache_.recovered();
+    const std::size_t cache_torn = cache_.tornBytes();
+    const std::uint64_t cache_compactions = cache_.compactions();
     std::string out = "{\"build\":\"";
     out += jsontext::escape(gitDescribe());
     out += "\",\"workers\":" + std::to_string(pool_->workers());

@@ -15,12 +15,13 @@
  *    waiters. A completed result is journaled into the
  *    cache BEFORE the in-flight entry is erased, so the key is
  *    always visible in one of the two and a request either joins the
- *    computation or hits the cache — never recomputes. The journal
- *    fsync (and any compaction) runs under a dedicated cache mutex,
- *    never under the state mutex, so admission, completion and pings
- *    never wait on disk I/O. A run's cache probe and a stats
- *    snapshot do take the cache mutex, so they can wait out another
- *    run's journal fsync.
+ *    computation or hits the cache — never recomputes. The cache
+ *    shows the entry to probes before its journal append; the fsync
+ *    (and any compaction) runs under the cache's journal lock, never
+ *    under the state mutex or the cache's memo lock, so admission,
+ *    completion, pings, cache probes and stats snapshots never wait
+ *    on disk I/O. Only the finishing run's own waiters wait for its
+ *    fsync.
  *
  *  - Batching: a new run is decomposed into catalog points (see
  *    server/catalog.hh) and admitted at once, under the state mutex.
@@ -206,8 +207,9 @@ class MwServer
     /** One compute unit; runs on the pool. Distributes the result
      *  (or the failure) to every subscribing job. */
     void runUnit(const std::shared_ptr<ComputeUnit> &unit);
-    /** Last-point completion: journal the result (under cache_mu_),
-     *  then publish and notify (under mu_). Caller holds no locks. */
+    /** Last-point completion: journal the result (the cache takes
+     *  its own locks), then publish and notify (under mu_). Caller
+     *  holds no locks. */
     void finalize(const std::shared_ptr<ComputeJob> &job);
     /** Join exited connection threads (no locks held on entry). */
     void reapFinishedConnections();
@@ -223,11 +225,9 @@ class MwServer
 
     mutable std::mutex mu_;
     bool stopping_ = false; // guarded by mu_
-    // Guards cache_. Held for the journal fsync and compaction, so
-    // it is NEVER acquired while holding mu_ (and vice versa): a
-    // thread drops one before taking the other.
-    mutable std::mutex cache_mu_;
-    ResultCache cache_; // guarded by cache_mu_ once threads exist
+    // Thread-safe on its own (see result_cache.hh); its locks are
+    // never taken while holding mu_, nor mu_ while holding them.
+    ResultCache cache_;
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;
     /** Guarded by mu_, except requests and cache_hits: those are
      *  counted in requests_ and cache_hits_, so that a cache hit
