@@ -761,6 +761,42 @@ TEST(ResultCacheTest, DuplicateInsertKeepsLatestAcrossReopen)
     EXPECT_EQ(*cache.lookup("k"), "new");
 }
 
+TEST(ResultCacheTest, FindRunsBesideInsertsAndCompactions)
+{
+    // One thread inserts past a tight cap, so most inserts compact;
+    // another probes and counts throughout. Every probe sees either
+    // nothing or the exact document, and the counters stay in range.
+    TempDir dir;
+    std::string why;
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(dir.path(), 4096, &why)) << why;
+    constexpr int inserts = 60;
+    const auto doc = [](int i) {
+        return std::string(300 + i, static_cast<char>('a' + i % 26));
+    };
+    std::thread writer([&] {
+        std::string w;
+        for (int i = 0; i < inserts; ++i)
+            EXPECT_TRUE(cache.insert("key" + std::to_string(i), doc(i),
+                                     &w))
+                << w;
+    });
+    for (int round = 0; round < 200; ++round) {
+        for (int i = 0; i < inserts; i += 7) {
+            std::string got;
+            if (cache.find("key" + std::to_string(i), &got)) {
+                EXPECT_EQ(got, doc(i));
+            }
+        }
+        EXPECT_LE(cache.size(), static_cast<std::size_t>(inserts));
+    }
+    writer.join();
+    EXPECT_GT(cache.compactions(), 0u);
+    std::string last;
+    EXPECT_TRUE(cache.find("key" + std::to_string(inserts - 1), &last));
+    EXPECT_EQ(last, doc(inserts - 1));
+}
+
 // --------------------------------------------------------------------
 // Live server
 
