@@ -50,9 +50,7 @@ pickBoundaries(const std::vector<double> &weights)
         const double guess = prefix / total * 0x1.0p53;
         const std::uint64_t start =
             std::isfinite(guess) && guess > static_cast<double>(floor)
-                ? std::min(static_cast<std::uint64_t>(
-                               std::min(guess, 0x1.0p53)),
-                           draws53)
+                ? static_cast<std::uint64_t>(std::min(guess, 0x1.0p53))
                 : floor;
         std::uint64_t lo = floor, hi = draws53;
         std::uint64_t step = 1;

@@ -402,7 +402,8 @@ class SyntheticWorkload : public RefSource
     wrapStep(std::uint64_t cursor, std::int64_t stride,
              std::uint64_t size)
     {
-        const std::int64_t next = static_cast<std::int64_t>(cursor) + stride;
+        const std::int64_t next =
+            static_cast<std::int64_t>(cursor) + stride;
         if (next < 0)
             return size + next; // wrap backwards
         if (static_cast<std::uint64_t>(next) >= size)

@@ -75,12 +75,7 @@ class ReferenceSyntheticWorkload
     };
 
     void selectRoutine();
-    /**
-     * Step the instruction-stream state machine past one fetch. The
-     * common case (next instruction of the same routine) stays
-     * inline in the caller; the end-of-routine transitions live
-     * out-of-line in advanceRoutineEnd().
-     */
+    /** Step the instruction-stream state machine past one fetch. */
     void
     advanceRoutine(const CodeRoutine &routine)
     {
